@@ -19,7 +19,7 @@ at both endpoints are monotone in the index forms, so extremes are hit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.ir.access import AccessInfo, LoopInfo
@@ -33,7 +33,7 @@ from repro.lang.astnodes import (
     Ternary,
     Unary,
 )
-from repro.sim.values import c_div, c_mod
+from repro.sim.values import BINARY_OPS, UNARY_OPS
 
 
 class Unresolved(Exception):
@@ -43,29 +43,6 @@ class Unresolved(Exception):
 # ---------------------------------------------------------------------------
 # Concrete integer / boolean expression evaluation
 # ---------------------------------------------------------------------------
-
-_ARITH = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": c_div,
-    "%": c_mod,
-    "<<": lambda a, b: a << b,
-    ">>": lambda a, b: a >> b,
-    "&": lambda a, b: a & b,
-    "|": lambda a, b: a | b,
-    "^": lambda a, b: a ^ b,
-}
-
-_COMPARE = {
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
-
 
 def eval_int(expr: Expr, bindings: Mapping[str, int],
              term_defs: Mapping[str, Tuple[Expr, int]] = {},
@@ -91,12 +68,8 @@ def eval_int(expr: Expr, bindings: Mapping[str, int],
             return _eval_affine(form, bindings, term_defs, env)
         raise Unresolved(f"unbound identifier {expr.name!r}")
     if isinstance(expr, Unary):
-        val = eval_int(expr.operand, bindings, term_defs, env)
-        if expr.op == "-":
-            return -val
-        if expr.op == "!":
-            return int(not val)
-        return val
+        return UNARY_OPS[expr.op](
+            eval_int(expr.operand, bindings, term_defs, env))
     if isinstance(expr, Binary):
         if expr.op == "&&":
             left = eval_int(expr.left, bindings, term_defs, env)
@@ -108,14 +81,13 @@ def eval_int(expr: Expr, bindings: Mapping[str, int],
                 eval_int(expr.right, bindings, term_defs, env)))
         left = eval_int(expr.left, bindings, term_defs, env)
         right = eval_int(expr.right, bindings, term_defs, env)
-        if expr.op in _ARITH:
-            try:
-                return _ARITH[expr.op](left, right)
-            except ZeroDivisionError:
-                raise Unresolved("division by zero") from None
-        if expr.op in _COMPARE:
-            return int(_COMPARE[expr.op](left, right))
-        raise Unresolved(f"operator {expr.op!r}")
+        fn = BINARY_OPS.get(expr.op)
+        if fn is None:
+            raise Unresolved(f"operator {expr.op!r}")
+        try:
+            return fn(left, right)
+        except ZeroDivisionError:
+            raise Unresolved("division by zero") from None
     if isinstance(expr, Ternary):
         cond = eval_int(expr.cond, bindings, term_defs, env)
         branch = expr.then if cond else expr.otherwise

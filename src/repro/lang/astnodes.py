@@ -202,7 +202,8 @@ class Block(Stmt):
 
 @dataclass(eq=True)
 class ReturnStmt(Stmt):
-    pass
+    #: Source line (0 when built programmatically); diagnostics only.
+    line: int = field(default=0, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +299,15 @@ def walk_stmts(stmts: Sequence[Stmt]):
         yield s
         for lst in child_stmt_lists(s):
             yield from walk_stmts(lst)
+
+
+def early_returns(kernel: Kernel) -> List[ReturnStmt]:
+    """Every ``return`` other than the kernel body's final top-level
+    statement.  Only that trailing form is supported: no backend models
+    one thread leaving a kernel the others keep running."""
+    last = kernel.body[-1] if kernel.body else None
+    return [s for s in walk_stmts(kernel.body)
+            if isinstance(s, ReturnStmt) and s is not last]
 
 
 def walk_exprs_of_stmt(stmt: Stmt):

@@ -178,7 +178,7 @@ class Parser:
         if tok.kind is TokenKind.KW_RETURN:
             self._pos += 1
             self._expect(TokenKind.SEMI, "';'")
-            return ReturnStmt()
+            return ReturnStmt(line=tok.line)
         if tok.kind is TokenKind.IDENT and tok.text in _SYNC_CALLS:
             self._pos += 1
             self._expect(TokenKind.LPAREN, "'('")

@@ -37,6 +37,7 @@ from repro.lang.astnodes import (
     Ternary,
     Unary,
     WhileStmt,
+    early_returns,
 )
 from repro.lang.symbols import Symbol, SymbolTable
 from repro.lang.types import INT, ArrayType, ScalarType
@@ -66,6 +67,12 @@ class SemanticChecker:
         """Run all checks; raises :class:`SemanticError` on any violation."""
         self._declare_params()
         self._check_body(self._kernel.body)
+        for stmt in early_returns(self._kernel):
+            where = f"line {stmt.line}: " if stmt.line else ""
+            self._errors.append(
+                f"{where}'return' is only supported as the final statement "
+                f"of the kernel body (no backend models a thread leaving "
+                f"early)")
         if self._errors:
             raise SemanticError("; ".join(self._errors))
 

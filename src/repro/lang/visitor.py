@@ -84,7 +84,7 @@ def transform_stmt_exprs(stmt: Stmt, fn: Callable[[Expr], Expr]) -> Stmt:
     if isinstance(stmt, SyncStmt):
         return SyncStmt(stmt.scope)
     if isinstance(stmt, ReturnStmt):
-        return ReturnStmt()
+        return ReturnStmt(stmt.line)
     if isinstance(stmt, Block):
         return Block([transform_stmt_exprs(s, fn) for s in stmt.body])
     if isinstance(stmt, IfStmt):

@@ -4,8 +4,9 @@ Two layers (see DESIGN.md):
 
 * **Functional** — :mod:`repro.sim.interp` executes kernel ASTs over a grid
   of thread blocks with exact ``__syncthreads``/``__global_sync`` barrier
-  semantics, backed by :mod:`repro.sim.memory`.  Used to prove that every
-  compiler transformation preserves the kernel's results.
+  semantics (per-thread semantics: :mod:`repro.sim.core`, memories:
+  :mod:`repro.sim.memory`).  Used to prove that every compiler
+  transformation preserves the kernel's results.
 * **Analytic** — :mod:`repro.sim.perf` estimates execution time on a machine
   description (:mod:`repro.machine`) from static access analysis, the
   occupancy calculator (:mod:`repro.sim.occupancy`), and the G80/GT200

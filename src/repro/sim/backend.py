@@ -1,7 +1,8 @@
-"""Backend selection for kernel execution: lockstep, vectorized, or auto.
+"""Backend selection for kernel execution: four names, three backends.
 
-The simulator has two execution backends with identical observable
-semantics on the vectorizable kernel class:
+The simulator has three execution backends with identical observable
+semantics on the kernels each supports — two drivers over the scalar core
+(:mod:`repro.sim.core`) and a lane-array evaluator — plus ``auto``:
 
 ``lockstep``
     :class:`repro.sim.interp.Interpreter` — one Python generator per

@@ -1,8 +1,9 @@
 """Functional interpreter: runs kernel ASTs on a simulated grid.
 
-Every thread is a Python generator that yields at barriers; a lockstep
-scheduler advances all threads of the grid phase by phase, which gives
-exact CUDA barrier semantics:
+Every thread is a Python generator that yields at barriers (built by
+:mod:`repro.sim.core`, which owns the per-thread semantics); the lockstep
+scheduler here advances all threads of the grid phase by phase, which
+gives exact CUDA barrier semantics:
 
 * ``__syncthreads`` — every live thread of the *block* must reach the same
   barrier (divergent barriers raise :class:`BarrierError`, a real bug on
@@ -16,41 +17,14 @@ before a barrier is visible after it, exactly as on hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.lang.astnodes import (
-    ArrayRef,
-    AssignStmt,
-    Binary,
-    Block,
-    Call,
-    DeclStmt,
-    Expr,
-    ExprStmt,
-    FloatLit,
-    ForStmt,
-    Ident,
-    IfStmt,
-    IntLit,
-    Kernel,
-    Member,
-    ReturnStmt,
-    Stmt,
-    SyncStmt,
-    Ternary,
-    Unary,
-    WhileStmt,
-)
-from repro.lang.builtins import BUILTIN_FUNCTIONS
-from repro.sim.memory import GlobalMemory, SharedMemory
-from repro.sim.values import Float2, Float4, c_div, c_mod, default_value
-
-
-class KernelRuntimeError(Exception):
-    """A runtime fault inside the simulated kernel."""
+from repro.lang.astnodes import ArrayRef, Kernel
+from repro.sim import core
+from repro.sim.core import MAX_STEPS_DEFAULT, KernelRuntimeError
 
 
 class BarrierError(KernelRuntimeError):
@@ -81,42 +55,16 @@ class LaunchConfig:
 TraceHook = Callable[[str, int, bool, Tuple[int, int], Tuple[int, int],
                       ArrayRef], None]
 
-_MAX_STEPS_DEFAULT = 50_000_000
-
-
-class _ThreadCtx:
-    """Mutable per-thread state: locals, ids, and its block's memories."""
-
-    __slots__ = ("env", "block", "thread", "shared", "local_arrays",
-                 "lane", "path")
-
-    def __init__(self, env: Dict[str, object], block: Tuple[int, int],
-                 thread: Tuple[int, int], shared: SharedMemory,
-                 lane: int = 0):
-        self.env = env
-        self.block = block
-        self.thread = thread
-        self.shared = shared
-        self.local_arrays: Dict[str, np.ndarray] = {}
-        # Launch-linear lane id and structural loop-iteration path, used by
-        # the profiler to reconstruct the vectorized backend's half-warp
-        # instruction instances (see repro.obs.profile).
-        self.lane = lane
-        self.path: List[int] = []
-
 
 class Interpreter:
     """Executes one kernel over a launch configuration."""
 
     def __init__(self, kernel: Kernel, trace: Optional[TraceHook] = None,
-                 max_steps: int = _MAX_STEPS_DEFAULT, profile=None):
+                 max_steps: int = MAX_STEPS_DEFAULT, profile=None):
         self._kernel = kernel
         self._trace = trace
         self._profile = profile    # repro.obs.profile.ProfileCollector
         self._max_steps = max_steps
-        self._steps = 0
-
-    # -- public API ----------------------------------------------------------
 
     def run(self, config: LaunchConfig, arrays: Dict[str, np.ndarray],
             scalars: Optional[Dict[str, object]] = None) -> None:
@@ -126,380 +74,33 @@ class Interpreter:
         int32; vector element types use a trailing lane axis).  ``scalars``
         binds the scalar parameters.
         """
-        scalars = dict(scalars or {})
-        gmem = GlobalMemory()
-        for p in self._kernel.array_params():
-            if p.name not in arrays:
-                raise KeyError(f"missing array argument {p.name!r}")
-            gmem.bind(p.name, arrays[p.name], p.type.lanes)
-        for p in self._kernel.scalar_params():
-            if p.name not in scalars:
-                raise KeyError(f"missing scalar argument {p.name!r}")
+        blocks = core.launch(self._kernel, config, arrays, scalars,
+                             preempt=False, max_steps=self._max_steps,
+                             trace=self._trace, profile=self._profile)
+        self._schedule([t for members in blocks for t in members])
 
-        self._steps = 0
-        gx, gy = config.grid
-        bx, by = config.block
-        threads: List = []
-        contexts: List[_ThreadCtx] = []
-        for bidy in range(gy):
-            for bidx in range(gx):
-                shared = SharedMemory()
-                for tidy in range(by):
-                    for tidx in range(bx):
-                        env = dict(scalars)
-                        env.update({
-                            "tidx": tidx, "tidy": tidy,
-                            "bidx": bidx, "bidy": bidy,
-                            "bdimx": bx, "bdimy": by,
-                            "gdimx": gx, "gdimy": gy,
-                            "idx": bidx * bx + tidx,
-                            "idy": bidy * by + tidy,
-                        })
-                        lane = ((bidy * gx + bidx) * by + tidy) * bx + tidx
-                        ctx = _ThreadCtx(env, (bidx, bidy), (tidx, tidy),
-                                         shared, lane=lane)
-                        contexts.append(ctx)
-                        threads.append(
-                            self._exec_stmts(self._kernel.body, ctx, gmem))
-        self._schedule(threads, contexts, config)
-
-    # -- scheduler -----------------------------------------------------------
-
-    def _schedule(self, threads: List, contexts: List[_ThreadCtx],
-                  config: LaunchConfig) -> None:
-        live = list(range(len(threads)))
+    def _schedule(self, threads: List[core.Thread]) -> None:
+        """Advance every live thread to its next barrier, phase by phase,
+        checking that the threads of a block agree on where they stopped."""
+        live = threads
         while live:
-            statuses: Dict[int, Optional[str]] = {}
-            for i in live:
-                try:
-                    statuses[i] = next(threads[i])  # 'block' | 'global'
-                except StopIteration:
-                    statuses[i] = None
-            # Check barrier agreement within each block.
-            by_block: Dict[Tuple[int, int], List[Optional[str]]] = {}
-            for i in live:
-                by_block.setdefault(contexts[i].block, []).append(statuses[i])
-            any_global = False
-            for block, stats in by_block.items():
-                kinds = set(stats)
+            # Where each thread stops: 'block' | 'global', None = exited.
+            by_block: Dict[Tuple[int, int], Set[Optional[str]]] = {}
+            for t in live:
+                t.step()
+                by_block.setdefault(t.block, set()).add(t.waiting)
+            for block, kinds in by_block.items():
                 if len(kinds) > 1:
                     raise BarrierError(
                         f"block {block}: threads diverged at a barrier "
                         f"({sorted(str(k) for k in kinds)})")
-                if "global" in kinds:
-                    any_global = True
-            if any_global:
-                for block, stats in by_block.items():
-                    if stats[0] != "global":
+            if any("global" in kinds for kinds in by_block.values()):
+                for block, kinds in by_block.items():
+                    if "global" not in kinds:
                         raise BarrierError(
                             f"block {block} missed a __global_sync other "
                             f"blocks reached")
-            live = [i for i in live if statuses[i] is not None]
-
-    # -- statement execution (generators) -------------------------------------
-
-    def _exec_stmts(self, stmts: Sequence[Stmt], ctx: _ThreadCtx,
-                    gmem: GlobalMemory):
-        for stmt in stmts:
-            yield from self._exec_stmt(stmt, ctx, gmem)
-
-    def _exec_stmt(self, stmt: Stmt, ctx: _ThreadCtx, gmem: GlobalMemory):
-        self._steps += 1
-        if self._steps > self._max_steps:
-            raise KernelRuntimeError(
-                f"kernel exceeded {self._max_steps} simulated statements")
-        if isinstance(stmt, DeclStmt):
-            self._exec_decl(stmt, ctx, gmem)
-        elif isinstance(stmt, AssignStmt):
-            self._exec_assign(stmt, ctx, gmem)
-        elif isinstance(stmt, ExprStmt):
-            self._eval(stmt.expr, ctx, gmem)
-        elif isinstance(stmt, SyncStmt):
-            if self._profile is not None:
-                self._profile.sync(ctx.lane)
-            yield stmt.scope
-        elif isinstance(stmt, IfStmt):
-            taken = self._truthy(self._eval(stmt.cond, ctx, gmem))
-            if self._profile is not None:
-                self._profile.branch(stmt, tuple(ctx.path), ctx.lane, taken)
-            if taken:
-                yield from self._exec_stmts(stmt.then_body, ctx, gmem)
-            else:
-                yield from self._exec_stmts(stmt.else_body, ctx, gmem)
-        elif isinstance(stmt, ForStmt):
-            if stmt.init is not None:
-                yield from self._exec_stmt(stmt.init, ctx, gmem)
-            # The path entry counts structural iterations, aligning this
-            # thread's events with the vectorized backend's masked passes
-            # over the same loop (the condition evaluates at the current
-            # counter, including the final failing evaluation).
-            ctx.path.append(0)
-            while stmt.cond is None or \
-                    self._truthy(self._eval(stmt.cond, ctx, gmem)):
-                yield from self._exec_stmts(stmt.body, ctx, gmem)
-                if stmt.update is not None:
-                    yield from self._exec_stmt(stmt.update, ctx, gmem)
-                ctx.path[-1] += 1
-                self._steps += 1
-                if self._steps > self._max_steps:
-                    raise KernelRuntimeError(
-                        f"kernel exceeded {self._max_steps} simulated "
-                        f"statements (runaway loop?)")
-            ctx.path.pop()
-        elif isinstance(stmt, WhileStmt):
-            ctx.path.append(0)
-            while self._truthy(self._eval(stmt.cond, ctx, gmem)):
-                yield from self._exec_stmts(stmt.body, ctx, gmem)
-                ctx.path[-1] += 1
-            ctx.path.pop()
-        elif isinstance(stmt, Block):
-            yield from self._exec_stmts(stmt.body, ctx, gmem)
-        elif isinstance(stmt, ReturnStmt):
-            return
-        else:
-            raise KernelRuntimeError(f"cannot execute {type(stmt).__name__}")
-
-    def _exec_decl(self, stmt: DeclStmt, ctx: _ThreadCtx,
-                   gmem: GlobalMemory) -> None:
-        if stmt.is_array:
-            dims = []
-            for d in stmt.dims:
-                if isinstance(d, int):
-                    dims.append(d)
-                else:
-                    dims.append(int(ctx.env[d]))
-            if stmt.shared:
-                # One allocation per block; later threads reuse it.
-                if not ctx.shared.has(stmt.name):
-                    ctx.shared.allocate(stmt.name, dims, stmt.type.name)
-            else:
-                lanes = stmt.type.lanes
-                shape = tuple(dims) + ((lanes,) if lanes > 1 else ())
-                dtype = np.int32 if stmt.type.name == "int" else np.float32
-                ctx.local_arrays[stmt.name] = np.zeros(shape, dtype=dtype)
-            return
-        value = (self._eval(stmt.init, ctx, gmem) if stmt.init is not None
-                 else default_value(stmt.type.name))
-        if stmt.type.name == "int":
-            value = int(value)
-        elif stmt.type.name == "float":
-            value = float(value)
-        ctx.env[stmt.name] = value
-
-    def _exec_assign(self, stmt: AssignStmt, ctx: _ThreadCtx,
-                     gmem: GlobalMemory) -> None:
-        value = self._eval(stmt.value, ctx, gmem)
-        if stmt.op != "=":
-            current = self._eval(stmt.target, ctx, gmem)
-            op = stmt.op[0]
-            if op == "+":
-                value = current + value
-            elif op == "-":
-                value = current - value
-            elif op == "*":
-                value = current * value
-            elif op == "/":
-                value = c_div(current, value)
-        self._store(stmt.target, value, ctx, gmem)
-
-    # -- lvalues ---------------------------------------------------------------
-
-    def _store(self, target: Expr, value, ctx: _ThreadCtx,
-               gmem: GlobalMemory) -> None:
-        if isinstance(target, Ident):
-            if target.name not in ctx.env:
-                raise KernelRuntimeError(
-                    f"store to undeclared variable {target.name!r}")
-            old = ctx.env[target.name]
-            if isinstance(old, int) and not isinstance(value, (Float2, Float4)):
-                value = int(value)
-            ctx.env[target.name] = value
-            return
-        if isinstance(target, ArrayRef):
-            store, name, indices = self._resolve_array(target, ctx, gmem)
-            store.store(name, indices, value)
-            self._emit_trace(store, name, indices, True, ctx, target)
-            return
-        if isinstance(target, Member):
-            base = target.base
-            if isinstance(base, Ident):
-                vec = ctx.env.get(base.name)
-                if not isinstance(vec, (Float2, Float4)):
-                    raise KernelRuntimeError(
-                        f"member store to non-vector {base.name!r}")
-                setattr(vec, target.member, float(value))
-                return
-            if isinstance(base, ArrayRef):
-                store, name, indices = self._resolve_array(base, ctx, gmem)
-                store.store_member(name, indices, target.member, float(value))
-                self._emit_trace(store, name, indices, True, ctx, base)
-                return
-        raise KernelRuntimeError(f"invalid store target {target!r}")
-
-    def _resolve_array(self, ref: ArrayRef, ctx: _ThreadCtx,
-                       gmem: GlobalMemory):
-        name = ref.base.name
-        indices = tuple(int(self._eval(i, ctx, gmem)) for i in ref.indices)
-        if name in ctx.local_arrays:
-            return _LocalArrayShim(ctx.local_arrays), name, indices
-        if ctx.shared.has(name):
-            return ctx.shared, name, indices
-        if gmem.has(name):
-            return gmem, name, indices
-        raise KernelRuntimeError(f"reference to unknown array {name!r}")
-
-    def _emit_trace(self, store, name: str, indices: Tuple[int, ...],
-                    is_store: bool, ctx: _ThreadCtx, site: ArrayRef) -> None:
-        space = getattr(store, "space", None)
-        if self._profile is not None and space in ("global", "shared"):
-            self._profile.access(space, name,
-                                 store.linear_address(name, indices),
-                                 is_store, site, tuple(ctx.path), ctx.lane)
-        if self._trace is None or space != "global":
-            return
-        addr = store.linear_address(name, indices)
-        self._trace(name, addr, is_store, ctx.block, ctx.thread, site)
-
-    # -- expressions -------------------------------------------------------------
-
-    def _eval(self, expr: Expr, ctx: _ThreadCtx, gmem: GlobalMemory):
-        if isinstance(expr, IntLit):
-            return expr.value
-        if isinstance(expr, FloatLit):
-            return expr.value
-        if isinstance(expr, Ident):
-            try:
-                return ctx.env[expr.name]
-            except KeyError:
-                raise KernelRuntimeError(
-                    f"use of undefined variable {expr.name!r}") from None
-        if isinstance(expr, ArrayRef):
-            store, name, indices = self._resolve_array(expr, ctx, gmem)
-            value = store.load(name, indices)
-            self._emit_trace(store, name, indices, False, ctx, expr)
-            return value
-        if isinstance(expr, Member):
-            base = self._eval(expr.base, ctx, gmem)
-            if isinstance(base, (Float2, Float4)):
-                return getattr(base, expr.member)
-            raise KernelRuntimeError(
-                f"member .{expr.member} of non-vector value")
-        if isinstance(expr, Unary):
-            val = self._eval(expr.operand, ctx, gmem)
-            if expr.op == "-":
-                return -val
-            if expr.op == "+":
-                return val
-            if expr.op == "!":
-                return 0 if self._truthy(val) else 1
-        if isinstance(expr, Binary):
-            return self._eval_binary(expr, ctx, gmem)
-        if isinstance(expr, Ternary):
-            if self._truthy(self._eval(expr.cond, ctx, gmem)):
-                return self._eval(expr.then, ctx, gmem)
-            return self._eval(expr.otherwise, ctx, gmem)
-        if isinstance(expr, Call):
-            return self._eval_call(expr, ctx, gmem)
-        raise KernelRuntimeError(f"cannot evaluate {type(expr).__name__}")
-
-    def _eval_binary(self, expr: Binary, ctx: _ThreadCtx, gmem: GlobalMemory):
-        op = expr.op
-        if op == "&&":
-            left = self._eval(expr.left, ctx, gmem)
-            if not self._truthy(left):
-                return 0
-            return 1 if self._truthy(self._eval(expr.right, ctx, gmem)) else 0
-        if op == "||":
-            left = self._eval(expr.left, ctx, gmem)
-            if self._truthy(left):
-                return 1
-            return 1 if self._truthy(self._eval(expr.right, ctx, gmem)) else 0
-        left = self._eval(expr.left, ctx, gmem)
-        right = self._eval(expr.right, ctx, gmem)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            return c_div(left, right)
-        if op == "%":
-            return c_mod(left, right)
-        if op == "<":
-            return 1 if left < right else 0
-        if op == ">":
-            return 1 if left > right else 0
-        if op == "<=":
-            return 1 if left <= right else 0
-        if op == ">=":
-            return 1 if left >= right else 0
-        if op == "==":
-            return 1 if left == right else 0
-        if op == "!=":
-            return 1 if left != right else 0
-        if op == "&":
-            return int(left) & int(right)
-        if op == "|":
-            return int(left) | int(right)
-        if op == "^":
-            return int(left) ^ int(right)
-        if op == "<<":
-            return int(left) << int(right)
-        if op == ">>":
-            return int(left) >> int(right)
-        raise KernelRuntimeError(f"unknown operator {op!r}")
-
-    def _eval_call(self, expr: Call, ctx: _ThreadCtx, gmem: GlobalMemory):
-        args = [self._eval(a, ctx, gmem) for a in expr.args]
-        if expr.name == "make_float2":
-            return Float2(float(args[0]), float(args[1]))
-        if expr.name == "make_float4":
-            return Float4(*(float(a) for a in args))
-        fn = BUILTIN_FUNCTIONS.get(expr.name)
-        if fn is None:
-            raise KernelRuntimeError(f"unknown function {expr.name!r}")
-        return fn(*args)
-
-    @staticmethod
-    def _truthy(value) -> bool:
-        return bool(value)
-
-
-class _LocalArrayShim:
-    """Adapts per-thread local arrays to the memory-store interface."""
-
-    space = "local"
-
-    def __init__(self, arrays: Dict[str, np.ndarray]):
-        self._arrays = arrays
-
-    def load(self, name: str, indices: Tuple[int, ...]):
-        arr = self._arrays[name]
-        self._check(arr, name, indices)
-        value = arr[indices]
-        return int(value) if arr.dtype == np.int32 else float(value)
-
-    def store(self, name: str, indices: Tuple[int, ...], value) -> None:
-        arr = self._arrays[name]
-        self._check(arr, name, indices)
-        arr[indices] = value
-
-    @staticmethod
-    def _check(arr: np.ndarray, name: str, indices: Tuple[int, ...]) -> None:
-        if len(indices) != arr.ndim:
-            raise IndexError(f"local array {name!r}: rank mismatch")
-        for idx, ext in zip(indices, arr.shape):
-            if not 0 <= idx < ext:
-                raise IndexError(
-                    f"local array {name!r} index {idx} out of [0, {ext})")
-
-    def linear_address(self, name: str, indices: Tuple[int, ...]) -> int:
-        arr = self._arrays[name]
-        addr = 0
-        for idx, ext in zip(indices, arr.shape):
-            addr = addr * ext + idx
-        return addr
+            live = [t for t in live if not t.done]
 
 
 def launch(kernel: Kernel, config: LaunchConfig,

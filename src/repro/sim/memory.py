@@ -2,13 +2,14 @@
 
 Global memory holds the kernel's array parameters as numpy arrays; shared
 memory is allocated per thread block when a ``__shared__`` declaration is
-first executed.  Both check bounds on every access — a mis-transformed
+first executed; local memory holds one thread's private arrays.  All
+three check bounds on every access — a mis-transformed
 kernel faults loudly instead of silently producing garbage.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -124,3 +125,9 @@ class SharedMemory(_ArrayStore):
     """One thread block's on-chip shared memory."""
 
     space = "shared"
+
+
+class LocalMemory(_ArrayStore):
+    """One thread's private (non-``__shared__``) arrays."""
+
+    space = "local"

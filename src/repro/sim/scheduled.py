@@ -54,44 +54,15 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.lang.astnodes import (
-    ArrayRef,
-    AssignStmt,
-    Binary,
-    Block,
-    Call,
-    DeclStmt,
-    Expr,
-    ExprStmt,
-    FloatLit,
-    ForStmt,
-    Ident,
-    IfStmt,
-    IntLit,
-    Kernel,
-    Member,
-    ReturnStmt,
-    Stmt,
-    SyncStmt,
-    Ternary,
-    Unary,
-    WhileStmt,
-)
-from repro.lang.builtins import BUILTIN_FUNCTIONS
-from repro.sim.interp import (
-    _MAX_STEPS_DEFAULT,
-    BarrierError,
-    KernelRuntimeError,
-    LaunchConfig,
-    _LocalArrayShim,
-)
-from repro.sim.memory import GlobalMemory, SharedMemory
+from repro.lang.astnodes import Kernel
+from repro.sim import core
+from repro.sim.core import MAX_STEPS_DEFAULT, KernelRuntimeError
+from repro.sim.interp import BarrierError, LaunchConfig
 from repro.sim.phases import BarrierSite, slice_phases
-from repro.sim.values import Float2, Float4, c_div, c_mod, default_value
 
 __all__ = [
     "SCHEDULER_KINDS",
@@ -278,36 +249,13 @@ class ScheduleResult:
 # Execution state
 # ---------------------------------------------------------------------------
 
-class _SThread:
-    """One simulated thread: its generator plus rendezvous state."""
-
-    __slots__ = ("gen", "env", "block", "thread", "shared", "local_arrays",
-                 "finished", "waiting", "wait_stmt")
-
-    def __init__(self, env: Dict[str, object], block: Tuple[int, int],
-                 thread: Tuple[int, int], shared: SharedMemory):
-        self.env = env
-        self.block = block
-        self.thread = thread
-        self.shared = shared
-        self.local_arrays: Dict[str, np.ndarray] = {}
-        self.gen = None
-        self.finished = False
-        self.waiting: Optional[str] = None    # 'block' | 'global' when blocked
-        self.wait_stmt: Optional[SyncStmt] = None
-
-    @property
-    def runnable(self) -> bool:
-        return not self.finished and self.waiting is None
-
-
 class _Warp:
     """A scheduling unit: WARP_THREADS consecutive threads of one block."""
 
     __slots__ = ("wid", "block", "threads")
 
     def __init__(self, wid: int, block: Tuple[int, int],
-                 threads: List[_SThread]):
+                 threads: List[core.Thread]):
         self.wid = wid
         self.block = block
         self.threads = threads
@@ -320,17 +268,8 @@ class _Warp:
         """Advance each runnable thread by one sequence point, in thread
         order (warp-synchronous stepping)."""
         for t in self.threads:
-            if not t.runnable:
-                continue
-            try:
-                event = next(t.gen)
-            except StopIteration:
-                t.finished = True
-                continue
-            if event[0] == "sync":
-                t.waiting = event[1]
-                t.wait_stmt = event[2]
-            # 'mem' / 'edge' events are pure preemption points.
+            if t.runnable:
+                t.step()
 
 
 # ---------------------------------------------------------------------------
@@ -340,18 +279,18 @@ class _Warp:
 class ScheduledInterpreter:
     """Executes one kernel launch under a controlled warp schedule.
 
-    Semantics mirror :class:`repro.sim.interp.Interpreter` statement for
-    statement (same C truncation rules, same bounds checks, same fault
-    messages) — only the *interleaving* differs, which is the point: on
-    a race-free kernel every schedule must produce the lockstep bits.
+    The threads are the same :mod:`repro.sim.core` coroutines the
+    lockstep :class:`~repro.sim.interp.Interpreter` runs, lowered with
+    ``preempt=True`` — only the *interleaving* differs, which is the
+    point: on a race-free kernel every schedule must produce the
+    lockstep bits.
     """
 
-    def __init__(self, kernel: Kernel, max_steps: int = _MAX_STEPS_DEFAULT,
+    def __init__(self, kernel: Kernel, max_steps: int = MAX_STEPS_DEFAULT,
                  warp_size: int = WARP_THREADS):
         self._kernel = kernel
         self._max_steps = max_steps
         self._warp_size = max(1, warp_size)
-        self._steps = 0
         # Barrier context for deadlock reports (phases reuse: the same
         # slicing the race detector and vectorized backend consume).
         self._sites: Dict[int, BarrierSite] = {
@@ -365,43 +304,15 @@ class ScheduledInterpreter:
             max_yields: Optional[int] = None) -> ScheduleResult:
         """Execute the kernel under ``scheduler``; arrays mutate in place."""
         sched = scheduler if scheduler is not None else RandomScheduler(0)
-        scalars = dict(scalars or {})
-        gmem = GlobalMemory()
-        for p in self._kernel.array_params():
-            if p.name not in arrays:
-                raise KeyError(f"missing array argument {p.name!r}")
-            gmem.bind(p.name, arrays[p.name], p.type.lanes)
-        for p in self._kernel.scalar_params():
-            if p.name not in scalars:
-                raise KeyError(f"missing scalar argument {p.name!r}")
-
-        self._steps = 0
-        gx, gy = config.grid
-        bx, by = config.block
-        blocks: Dict[Tuple[int, int], List[_SThread]] = {}
+        blocks: Dict[Tuple[int, int], List[core.Thread]] = {}
         warps: List[_Warp] = []
-        for bidy in range(gy):
-            for bidx in range(gx):
-                shared = SharedMemory()
-                members: List[_SThread] = []
-                for tidy in range(by):
-                    for tidx in range(bx):
-                        env = dict(scalars)
-                        env.update({
-                            "tidx": tidx, "tidy": tidy,
-                            "bidx": bidx, "bidy": bidy,
-                            "bdimx": bx, "bdimy": by,
-                            "gdimx": gx, "gdimy": gy,
-                            "idx": bidx * bx + tidx,
-                            "idy": bidy * by + tidy,
-                        })
-                        t = _SThread(env, (bidx, bidy), (tidx, tidy), shared)
-                        t.gen = self._exec_stmts(self._kernel.body, t, gmem)
-                        members.append(t)
-                blocks[(bidx, bidy)] = members
-                for lo in range(0, len(members), self._warp_size):
-                    warps.append(_Warp(len(warps), (bidx, bidy),
-                                       members[lo:lo + self._warp_size]))
+        for members in core.launch(self._kernel, config, arrays, scalars,
+                                   preempt=True, max_steps=self._max_steps):
+            block = members[0].block
+            blocks[block] = members
+            for lo in range(0, len(members), self._warp_size):
+                warps.append(_Warp(len(warps), block,
+                                   members[lo:lo + self._warp_size]))
 
         all_threads = [t for members in blocks.values() for t in members]
         sched.attach(len(warps))
@@ -413,7 +324,7 @@ class ScheduledInterpreter:
             self._release_barriers(blocks, all_threads)
             runnable = sorted(w.wid for w in warps if w.runnable)
             if not runnable:
-                if all(t.finished for t in all_threads):
+                if all(t.done for t in all_threads):
                     break
                 raise self._deadlock(warps, blocks)
             wid = sched.pick(runnable, yields)
@@ -436,8 +347,8 @@ class ScheduledInterpreter:
     # -- barrier rendezvous --------------------------------------------------
 
     def _release_barriers(self, blocks: Dict[Tuple[int, int],
-                                             List[_SThread]],
-                          all_threads: List[_SThread]) -> None:
+                                             List[core.Thread]],
+                          all_threads: List[core.Thread]) -> None:
         """Complete every rendezvous whose arrival set is full.
 
         A ``block`` barrier releases when *every* thread of the block is
@@ -451,16 +362,14 @@ class ScheduledInterpreter:
         for members in blocks.values():
             if members and all(t.waiting == "block" for t in members):
                 for t in members:
-                    t.waiting = None
-                    t.wait_stmt = None
+                    t.at = None
         if all_threads and all(t.waiting == "global" for t in all_threads):
             for t in all_threads:
-                t.waiting = None
-                t.wait_stmt = None
+                t.at = None
 
     def _deadlock(self, warps: List[_Warp],
                   blocks: Dict[Tuple[int, int],
-                               List[_SThread]]) -> DeadlockError:
+                               List[core.Thread]]) -> DeadlockError:
         """Build the per-warp stack-context report for a stuck schedule."""
         from repro.obs.trace import snippet
         stuck: List[Dict[str, object]] = []
@@ -472,7 +381,7 @@ class ScheduledInterpreter:
                 continue
             n_waiting += len(waiting)
             t0 = waiting[0]
-            site = self._sites.get(id(t0.wait_stmt))
+            site = self._sites.get(id(t0.at))
             context = ""
             if site is not None and site.guards:
                 from repro.lang.printer import print_expr
@@ -480,8 +389,8 @@ class ScheduledInterpreter:
                     f"({print_expr(g)})" for g in site.guards)
             if site is not None and site.loops:
                 context += f" inside {len(site.loops)} loop(s)"
-            barrier = snippet(t0.wait_stmt) or "__syncthreads()"
-            finished = [t.thread for t in blocks[warp.block] if t.finished]
+            barrier = snippet(t0.at) or "__syncthreads()"
+            finished = [t.thread for t in blocks[warp.block] if t.done]
             entry = {
                 "warp": warp.wid,
                 "block": list(warp.block),
@@ -504,278 +413,6 @@ class ScheduledInterpreter:
         return DeadlockError(
             f"schedule deadlock: {n_waiting} thread(s) wait at a barrier "
             f"no runnable warp can reach\n  {detail}", stuck)
-
-    # -- statements (generators yielding at sequence points) -----------------
-
-    def _tick(self) -> None:
-        self._steps += 1
-        if self._steps > self._max_steps:
-            raise KernelRuntimeError(
-                f"kernel exceeded {self._max_steps} simulated statements")
-
-    def _exec_stmts(self, stmts: Sequence[Stmt], ctx: _SThread,
-                    gmem: GlobalMemory) -> Iterator:
-        for stmt in stmts:
-            yield from self._exec_stmt(stmt, ctx, gmem)
-
-    def _exec_stmt(self, stmt: Stmt, ctx: _SThread,
-                   gmem: GlobalMemory) -> Iterator:
-        self._tick()
-        if isinstance(stmt, DeclStmt):
-            yield from self._exec_decl(stmt, ctx, gmem)
-        elif isinstance(stmt, AssignStmt):
-            yield from self._exec_assign(stmt, ctx, gmem)
-        elif isinstance(stmt, ExprStmt):
-            yield from self._eval(stmt.expr, ctx, gmem)
-        elif isinstance(stmt, SyncStmt):
-            yield ("sync", stmt.scope, stmt)
-        elif isinstance(stmt, IfStmt):
-            cond = yield from self._eval(stmt.cond, ctx, gmem)
-            if self._truthy(cond):
-                yield from self._exec_stmts(stmt.then_body, ctx, gmem)
-            else:
-                yield from self._exec_stmts(stmt.else_body, ctx, gmem)
-        elif isinstance(stmt, ForStmt):
-            if stmt.init is not None:
-                yield from self._exec_stmt(stmt.init, ctx, gmem)
-            while True:
-                if stmt.cond is not None:
-                    cond = yield from self._eval(stmt.cond, ctx, gmem)
-                    if not self._truthy(cond):
-                        break
-                yield from self._exec_stmts(stmt.body, ctx, gmem)
-                if stmt.update is not None:
-                    yield from self._exec_stmt(stmt.update, ctx, gmem)
-                self._tick()
-                yield ("edge",)
-        elif isinstance(stmt, WhileStmt):
-            while True:
-                cond = yield from self._eval(stmt.cond, ctx, gmem)
-                if not self._truthy(cond):
-                    break
-                yield from self._exec_stmts(stmt.body, ctx, gmem)
-                self._tick()
-                yield ("edge",)
-        elif isinstance(stmt, Block):
-            yield from self._exec_stmts(stmt.body, ctx, gmem)
-        elif isinstance(stmt, ReturnStmt):
-            return
-        else:
-            raise KernelRuntimeError(f"cannot execute {type(stmt).__name__}")
-
-    def _exec_decl(self, stmt: DeclStmt, ctx: _SThread,
-                   gmem: GlobalMemory) -> Iterator:
-        if stmt.is_array:
-            dims = []
-            for d in stmt.dims:
-                if isinstance(d, int):
-                    dims.append(d)
-                else:
-                    dims.append(int(ctx.env[d]))
-            if stmt.shared:
-                if not ctx.shared.has(stmt.name):
-                    ctx.shared.allocate(stmt.name, dims, stmt.type.name)
-            else:
-                lanes = stmt.type.lanes
-                shape = tuple(dims) + ((lanes,) if lanes > 1 else ())
-                dtype = np.int32 if stmt.type.name == "int" else np.float32
-                ctx.local_arrays[stmt.name] = np.zeros(shape, dtype=dtype)
-            return
-        if stmt.init is not None:
-            value = yield from self._eval(stmt.init, ctx, gmem)
-        else:
-            value = default_value(stmt.type.name)
-        if stmt.type.name == "int":
-            value = int(value)
-        elif stmt.type.name == "float":
-            value = float(value)
-        ctx.env[stmt.name] = value
-
-    def _exec_assign(self, stmt: AssignStmt, ctx: _SThread,
-                     gmem: GlobalMemory) -> Iterator:
-        value = yield from self._eval(stmt.value, ctx, gmem)
-        if stmt.op != "=":
-            current = yield from self._eval(stmt.target, ctx, gmem)
-            op = stmt.op[0]
-            if op == "+":
-                value = current + value
-            elif op == "-":
-                value = current - value
-            elif op == "*":
-                value = current * value
-            elif op == "/":
-                value = c_div(current, value)
-        yield from self._store(stmt.target, value, ctx, gmem)
-
-    # -- lvalues -------------------------------------------------------------
-
-    def _store(self, target: Expr, value, ctx: _SThread,
-               gmem: GlobalMemory) -> Iterator:
-        if isinstance(target, Ident):
-            if target.name not in ctx.env:
-                raise KernelRuntimeError(
-                    f"store to undeclared variable {target.name!r}")
-            old = ctx.env[target.name]
-            if isinstance(old, int) and not isinstance(value,
-                                                       (Float2, Float4)):
-                value = int(value)
-            ctx.env[target.name] = value
-            return
-        if isinstance(target, ArrayRef):
-            store, name, indices = yield from self._resolve_array(
-                target, ctx, gmem)
-            if store.space == "shared":
-                yield ("mem", name, True)
-            store.store(name, indices, value)
-            return
-        if isinstance(target, Member):
-            base = target.base
-            if isinstance(base, Ident):
-                vec = ctx.env.get(base.name)
-                if not isinstance(vec, (Float2, Float4)):
-                    raise KernelRuntimeError(
-                        f"member store to non-vector {base.name!r}")
-                setattr(vec, target.member, float(value))
-                return
-            if isinstance(base, ArrayRef):
-                store, name, indices = yield from self._resolve_array(
-                    base, ctx, gmem)
-                if store.space == "shared":
-                    yield ("mem", name, True)
-                store.store_member(name, indices, target.member,
-                                   float(value))
-                return
-        raise KernelRuntimeError(f"invalid store target {target!r}")
-
-    def _resolve_array(self, ref: ArrayRef, ctx: _SThread,
-                       gmem: GlobalMemory) -> Iterator:
-        name = ref.base.name
-        indices = []
-        for i in ref.indices:
-            value = yield from self._eval(i, ctx, gmem)
-            indices.append(int(value))
-        indices = tuple(indices)
-        if name in ctx.local_arrays:
-            return _LocalArrayShim(ctx.local_arrays), name, indices
-        if ctx.shared.has(name):
-            return ctx.shared, name, indices
-        if gmem.has(name):
-            return gmem, name, indices
-        raise KernelRuntimeError(f"reference to unknown array {name!r}")
-
-    # -- expressions ---------------------------------------------------------
-
-    def _eval(self, expr: Expr, ctx: _SThread, gmem: GlobalMemory) -> Iterator:
-        if isinstance(expr, IntLit):
-            return expr.value
-        if isinstance(expr, FloatLit):
-            return expr.value
-        if isinstance(expr, Ident):
-            try:
-                return ctx.env[expr.name]
-            except KeyError:
-                raise KernelRuntimeError(
-                    f"use of undefined variable {expr.name!r}") from None
-        if isinstance(expr, ArrayRef):
-            store, name, indices = yield from self._resolve_array(
-                expr, ctx, gmem)
-            if getattr(store, "space", None) == "shared":
-                yield ("mem", name, False)
-            return store.load(name, indices)
-        if isinstance(expr, Member):
-            base = yield from self._eval(expr.base, ctx, gmem)
-            if isinstance(base, (Float2, Float4)):
-                return getattr(base, expr.member)
-            raise KernelRuntimeError(
-                f"member .{expr.member} of non-vector value")
-        if isinstance(expr, Unary):
-            val = yield from self._eval(expr.operand, ctx, gmem)
-            if expr.op == "-":
-                return -val
-            if expr.op == "+":
-                return val
-            if expr.op == "!":
-                return 0 if self._truthy(val) else 1
-        if isinstance(expr, Binary):
-            return (yield from self._eval_binary(expr, ctx, gmem))
-        if isinstance(expr, Ternary):
-            cond = yield from self._eval(expr.cond, ctx, gmem)
-            if self._truthy(cond):
-                return (yield from self._eval(expr.then, ctx, gmem))
-            return (yield from self._eval(expr.otherwise, ctx, gmem))
-        if isinstance(expr, Call):
-            return (yield from self._eval_call(expr, ctx, gmem))
-        raise KernelRuntimeError(f"cannot evaluate {type(expr).__name__}")
-
-    def _eval_binary(self, expr: Binary, ctx: _SThread,
-                     gmem: GlobalMemory) -> Iterator:
-        op = expr.op
-        if op == "&&":
-            left = yield from self._eval(expr.left, ctx, gmem)
-            if not self._truthy(left):
-                return 0
-            right = yield from self._eval(expr.right, ctx, gmem)
-            return 1 if self._truthy(right) else 0
-        if op == "||":
-            left = yield from self._eval(expr.left, ctx, gmem)
-            if self._truthy(left):
-                return 1
-            right = yield from self._eval(expr.right, ctx, gmem)
-            return 1 if self._truthy(right) else 0
-        left = yield from self._eval(expr.left, ctx, gmem)
-        right = yield from self._eval(expr.right, ctx, gmem)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            return c_div(left, right)
-        if op == "%":
-            return c_mod(left, right)
-        if op == "<":
-            return 1 if left < right else 0
-        if op == ">":
-            return 1 if left > right else 0
-        if op == "<=":
-            return 1 if left <= right else 0
-        if op == ">=":
-            return 1 if left >= right else 0
-        if op == "==":
-            return 1 if left == right else 0
-        if op == "!=":
-            return 1 if left != right else 0
-        if op == "&":
-            return int(left) & int(right)
-        if op == "|":
-            return int(left) | int(right)
-        if op == "^":
-            return int(left) ^ int(right)
-        if op == "<<":
-            return int(left) << int(right)
-        if op == ">>":
-            return int(left) >> int(right)
-        raise KernelRuntimeError(f"unknown operator {op!r}")
-
-    def _eval_call(self, expr: Call, ctx: _SThread,
-                   gmem: GlobalMemory) -> Iterator:
-        args = []
-        for a in expr.args:
-            value = yield from self._eval(a, ctx, gmem)
-            args.append(value)
-        if expr.name == "make_float2":
-            return Float2(float(args[0]), float(args[1]))
-        if expr.name == "make_float4":
-            return Float4(*(float(a) for a in args))
-        fn = BUILTIN_FUNCTIONS.get(expr.name)
-        if fn is None:
-            raise KernelRuntimeError(f"unknown function {expr.name!r}")
-        return fn(*args)
-
-    @staticmethod
-    def _truthy(value) -> bool:
-        return bool(value)
 
 
 def run_scheduled(kernel: Kernel, config: LaunchConfig,

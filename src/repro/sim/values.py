@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Callable, Dict
 
 
 @dataclass
@@ -52,6 +54,40 @@ def c_mod(a, b):
             raise ZeroDivisionError("integer modulo by zero in kernel")
         return a - c_div(a, b) * b
     raise TypeError("'%' requires integer operands in the kernel language")
+
+
+def truth(value) -> int:
+    """C truth value: comparisons and logical operators yield 0 or 1."""
+    return 1 if value else 0
+
+
+#: The strict binary operators on Python ``int``/``float`` scalars.  The
+#: lazy ones (``&&``, ``||``, ``?:``) are control flow and belong to
+#: whoever walks the tree; their result is :func:`truth` of an operand.
+BINARY_OPS: Dict[str, Callable] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": c_div,
+    "%": c_mod,
+    "<": lambda a, b: 1 if a < b else 0,
+    ">": lambda a, b: 1 if a > b else 0,
+    "<=": lambda a, b: 1 if a <= b else 0,
+    ">=": lambda a, b: 1 if a >= b else 0,
+    "==": lambda a, b: 1 if a == b else 0,
+    "!=": lambda a, b: 1 if a != b else 0,
+    "&": lambda a, b: int(a) & int(b),
+    "|": lambda a, b: int(a) | int(b),
+    "^": lambda a, b: int(a) ^ int(b),
+    "<<": lambda a, b: int(a) << int(b),
+    ">>": lambda a, b: int(a) >> int(b),
+}
+
+UNARY_OPS: Dict[str, Callable] = {
+    "-": operator.neg,
+    "+": lambda a: a,
+    "!": lambda a: 0 if a else 1,
+}
 
 
 def default_value(type_name: str):

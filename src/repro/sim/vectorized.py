@@ -83,15 +83,12 @@ from repro.lang.astnodes import (
     Ternary,
     Unary,
     WhileStmt,
+    early_returns,
     walk_exprs,
 )
 from repro.lang.builtins import BUILTIN_FUNCTIONS
-from repro.sim.interp import (
-    _MAX_STEPS_DEFAULT,
-    BarrierError,
-    KernelRuntimeError,
-    LaunchConfig,
-)
+from repro.sim.core import MAX_STEPS_DEFAULT
+from repro.sim.interp import BarrierError, KernelRuntimeError, LaunchConfig
 from repro.sim.phases import PhaseSlicing, slice_phases
 
 __all__ = ["UnsupportedKernelError", "VectorizedInterpreter",
@@ -141,12 +138,16 @@ def unsupported_reasons(kernel: Kernel,
     slicing's barrier inventory: a conditional barrier, or a barrier
     inside a loop whose bounds depend on thread ids, locals, or memory,
     would need the lockstep scheduler's count-based synchronization.
+    An early ``return`` is refused here as on every backend.
     """
     if slicing is None:
         slicing = slice_phases(kernel)
     scalar_params = {p.name for p in kernel.scalar_params()}
     uniform = scalar_params | {"bdimx", "bdimy", "gdimx", "gdimy"}
     reasons: List[str] = []
+    if early_returns(kernel):
+        reasons.append("'return' before the end of the kernel body: no "
+                       "backend models a thread leaving early")
     for site in slicing.barriers:
         if site.conditional:
             reasons.append(
@@ -243,7 +244,7 @@ class VectorizedInterpreter:
     """
 
     def __init__(self, kernel: Kernel, trace=None,
-                 max_steps: int = _MAX_STEPS_DEFAULT, profile=None):
+                 max_steps: int = MAX_STEPS_DEFAULT, profile=None):
         if trace is not None:
             raise UnsupportedKernelError(
                 kernel.name, ["per-access trace hooks need per-thread "
@@ -307,7 +308,10 @@ class VectorizedInterpreter:
         self._local: Dict[str, _SpaceView] = {}
 
         mask = np.ones(n, dtype=bool)
-        self._exec_stmts(self._kernel.body, mask)
+        body = self._kernel.body
+        if body and isinstance(body[-1], ReturnStmt):
+            body = body[:-1]    # the one supported form: end of kernel
+        self._exec_stmts(body, mask)
 
     # -- statements -----------------------------------------------------------
 
@@ -316,9 +320,9 @@ class VectorizedInterpreter:
             self._exec_stmt(stmt, mask)
 
     def _count_step(self, mask: np.ndarray) -> None:
-        # Count per-lane statements so runaway loops trip the same cap as
-        # the lockstep interpreter's per-thread accounting.
-        self._steps += int(mask.sum())
+        # Count per-lane statements and loop back-edges so runaway loops
+        # trip the same cap as the scalar core's per-thread accounting.
+        self._steps += np.count_nonzero(mask)
         if self._steps > self._max_steps:
             raise KernelRuntimeError(
                 f"kernel exceeded {self._max_steps} simulated statements")
@@ -355,6 +359,7 @@ class VectorizedInterpreter:
                 self._exec_stmts(stmt.body, live)
                 if stmt.update is not None:
                     self._exec_stmt(stmt.update, live)
+                self._count_step(live)
         elif isinstance(stmt, WhileStmt):
             live = mask
             while True:
@@ -362,12 +367,9 @@ class VectorizedInterpreter:
                 if not live.any():
                     break
                 self._exec_stmts(stmt.body, live)
+                self._count_step(live)
         elif isinstance(stmt, Block):
             self._exec_stmts(stmt.body, mask)
-        elif isinstance(stmt, ReturnStmt):
-            # Matches the lockstep interpreter, where a ReturnStmt ends
-            # only the statement's own sub-generator (i.e. does nothing).
-            return
         else:
             raise KernelRuntimeError(f"cannot execute {type(stmt).__name__}")
 
