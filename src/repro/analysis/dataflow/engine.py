@@ -83,7 +83,10 @@ def _join_envs(a: Optional[Env], b: Optional[Env]) -> Optional[Env]:
         return None if b is None else dict(b)
     if b is None:
         return dict(a)
-    return {name: a[name].join(b[name]) for name in a if name in b}
+    # Most names reach a merge untouched, as one object: join is idempotent
+    # (tests/test_dataflow_lattice.py), so that object is the answer.
+    return {name: va if va is b[name] else va.join(b[name])
+            for name, va in a.items() if name in b}
 
 
 def _written_names(stmts: List[ast.Stmt]) -> List[str]:

@@ -15,7 +15,9 @@ regresses beyond tolerance:
   committed * (1 - tolerance)``.  The default tolerance (0.6) is
   deliberately loose: shared single-CPU runners jitter wildly, and a
   real vectorization regression collapses a 50-180x ratio to ~1x,
-  which no honest tolerance misses;
+  which no honest tolerance misses.  ``warm_speedup`` is cold / warm and
+  its numerator is compile time, so a faster compiler lowers it:
+  re-measure and recommit ``BENCH_serve.json`` with such a change;
 * the **explore parallel-speedup** check mirrors the cpus>=2 guard the
   serve benchmark itself uses: on a single-CPU host process-parallel
   exploration legitimately loses to serial, so the gate only bounds

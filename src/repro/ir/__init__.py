@@ -16,17 +16,20 @@ from repro.ir.affine import AffineExpr, NotAffine, affine_of
 from repro.ir.indices import IndexClass, classify_index
 from repro.ir.access import AccessInfo, collect_accesses
 from repro.ir.segments import Segment, segments_for_halfwarp
-from repro.ir.dependence import Sharing, SharingKind, analyze_sharing
+from repro.ir.dependence import (ArraySharing, Sharing, SharingKind,
+                                 analyze_array_sharing, analyze_sharing)
 
 __all__ = [
     "AccessInfo",
     "AffineExpr",
+    "ArraySharing",
     "IndexClass",
     "NotAffine",
     "Segment",
     "Sharing",
     "SharingKind",
     "affine_of",
+    "analyze_array_sharing",
     "analyze_sharing",
     "classify_index",
     "collect_accesses",

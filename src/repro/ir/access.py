@@ -8,21 +8,29 @@ staging transform, the sharing analysis, and the partition-camping check.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, List, Mapping, Optional, Sequence, Set, Tuple,
+                    Union)
+
+import numpy as np
 
 from repro.lang.astnodes import (
     ArrayRef,
     AssignStmt,
+    Binary,
     Block,
     DeclStmt,
     Expr,
     ExprStmt,
     ForStmt,
+    Ident,
     IfStmt,
+    IntLit,
     Kernel,
     Stmt,
     SyncStmt,
+    Unary,
     WhileStmt,
     walk_exprs,
 )
@@ -30,6 +38,10 @@ from repro.lang.builtins import PREDEFINED_IDS
 from repro.lang.types import INT, ScalarType
 from repro.ir.affine import AffineExpr, NotAffine, affine_of
 from repro.ir.indices import IndexClass, classify_affine
+
+# One axis of an address evaluation: a Python int, or an int64 ndarray
+# that broadcasts against the other axes.
+Axis = Union[int, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -85,6 +97,14 @@ class AccessInfo:
     # mention them stay evaluable.  Fully substituted: their terms are only
     # predefined ids, loop iterators, '@' terms and constants.
     env_forms: Dict[str, "AffineExpr"] = field(default_factory=dict)
+    # The '@' terms of ``address``, scanned once here rather than on
+    # every evaluation.
+    quasi_terms: Tuple[str, ...] = field(init=False, repr=False, default=())
+
+    def __post_init__(self):
+        if self.address is not None:
+            self.quasi_terms = tuple(
+                name for name in self.address.terms if name.startswith("@"))
 
     @property
     def is_load(self) -> bool:
@@ -96,17 +116,44 @@ class AccessInfo:
             return self.term_defs[name][1]
         return 1
 
-    def eval_address(self, bindings: Mapping[str, int]) -> int:
-        """Evaluate the linear address, resolving quasi-affine terms."""
+    def term_reads(self, name: str) -> Set[str]:
+        """Every name a quasi-affine term's definition may read, followed
+        through the ``@`` terms it mentions."""
+        names: Set[str] = set()
+        for node in walk_exprs(self.term_defs[name][0]):
+            if isinstance(node, Ident) and node.name not in names:
+                names.add(node.name)
+                if "@" + node.name in self.term_defs:
+                    names |= self.term_reads("@" + node.name)
+        return names
+
+    def _evaluate(self, bindings: Mapping[str, Axis]):
         if self.address is None:
             raise ValueError(f"{self} has no resolved address")
         full = dict(self.sizes)
         full.update(bindings)
-        for name in self.address.terms:
-            if name.startswith("@") and name not in full:
+        for name in self.quasi_terms:
+            if name not in full:
                 expr, _align = self.term_defs[name]
                 full[name] = eval_int_expr(expr, full, self.term_defs)
         return self.address.evaluate(full)
+
+    def eval_address(self, bindings: Mapping[str, int]) -> int:
+        """Evaluate the linear address, resolving quasi-affine terms."""
+        return self._evaluate(bindings)
+
+    def eval_addresses(self, axes: Mapping[str, Axis]) -> np.ndarray:
+        """The linear address at every point of the grid ``axes`` span.
+
+        Each axis is an int or an ``int64`` array; the arrays broadcast
+        against each other and the result has their broadcast shape,
+        whether or not the address reads every axis.  Raises like
+        :meth:`eval_address`: ``KeyError`` for a free name,
+        ``ZeroDivisionError`` if any point divides by zero.
+        """
+        shape = np.broadcast_shapes(*(np.shape(v) for v in axes.values()))
+        return np.broadcast_to(
+            np.asarray(self._evaluate(axes), dtype=np.int64), shape)
 
     @property
     def index_classes(self) -> List[IndexClass]:
@@ -136,16 +183,37 @@ class AccessInfo:
         return f"<{kind} {self.array}[{idx}] in {self.space}>"
 
 
-def eval_int_expr(expr: Expr, bindings: Mapping[str, int],
-                  term_defs: Mapping[str, Tuple[Expr, int]]) -> int:
-    """Evaluate an integer expression given id bindings (C semantics)."""
-    from repro.lang.astnodes import Binary, Ident, IntLit, Unary
-    from repro.sim.values import c_div, c_mod
+def _c_div(a: Axis, b: Axis) -> Axis:
+    """C ``/`` (truncates toward zero) on ints or int64 arrays."""
+    if not np.all(b):
+        raise ZeroDivisionError("integer division by zero in address term")
+    return abs(a) // abs(b) * (1 - 2 * ((a < 0) != (b < 0)))
+
+
+def _c_mod(a: Axis, b: Axis) -> Axis:
+    """C ``%`` (sign of the dividend) on ints or int64 arrays."""
+    return a - _c_div(a, b) * b
+
+
+_INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "/": _c_div, "%": _c_mod,
+            "<<": operator.lshift, ">>": operator.rshift,
+            "&": operator.and_, "|": operator.or_, "^": operator.xor}
+
+
+def eval_int_expr(expr: Expr, bindings: Mapping[str, Axis],
+                  term_defs: Mapping[str, Tuple[Expr, int]]) -> Axis:
+    """Evaluate an integer expression given id bindings (C semantics).
+
+    A binding may be an ``int64`` array; the value is then the array of
+    results, one per element, under the same C ``/`` and ``%``.
+    """
     if isinstance(expr, IntLit):
         return expr.value
     if isinstance(expr, Ident):
         if expr.name in bindings:
-            return int(bindings[expr.name])
+            value = bindings[expr.name]
+            return value if isinstance(value, np.ndarray) else int(value)
         key = "@" + expr.name
         if key in term_defs:
             return eval_int_expr(term_defs[key][0], bindings, term_defs)
@@ -154,16 +222,10 @@ def eval_int_expr(expr: Expr, bindings: Mapping[str, int],
         val = eval_int_expr(expr.operand, bindings, term_defs)
         return -val if expr.op == "-" else val
     if isinstance(expr, Binary):
-        left = eval_int_expr(expr.left, bindings, term_defs)
-        right = eval_int_expr(expr.right, bindings, term_defs)
-        ops = {"+": lambda: left + right, "-": lambda: left - right,
-               "*": lambda: left * right, "/": lambda: c_div(left, right),
-               "%": lambda: c_mod(left, right),
-               "<<": lambda: left << right, ">>": lambda: left >> right,
-               "&": lambda: left & right, "|": lambda: left | right,
-               "^": lambda: left ^ right}
-        if expr.op in ops:
-            return ops[expr.op]()
+        op = _INT_OPS.get(expr.op)
+        if op is not None:
+            return op(eval_int_expr(expr.left, bindings, term_defs),
+                      eval_int_expr(expr.right, bindings, term_defs))
     raise KeyError(f"cannot evaluate {type(expr).__name__}")
 
 
@@ -179,7 +241,6 @@ def int_expr_alignment(expr: Expr, align_env: Mapping[str, int]) -> int:
     rotation ``(i + 64*bidx) % w`` stays 16-aligned when ``i`` steps by 16
     and ``w`` is a multiple of 16.
     """
-    from repro.lang.astnodes import Binary, Ident, IntLit, Unary
     if isinstance(expr, IntLit):
         return abs(expr.value) if expr.value else 1 << 20
     if isinstance(expr, Ident):
@@ -286,7 +347,6 @@ class _Collector:
                 self._env.pop(stmt.name, None)
 
     def _update_env_assign(self, stmt: AssignStmt) -> None:
-        from repro.lang.astnodes import Ident
         if isinstance(stmt.target, Ident) and stmt.target.name in self._env:
             # A reassignment invalidates (or updates) the affine definition.
             if stmt.op == "=":
@@ -377,7 +437,6 @@ class _Collector:
 
 def _loop_step(stmt: ForStmt, name: str) -> Optional[int]:
     """Extract a constant positive step from ``i = i + c`` / ``i += c``."""
-    from repro.lang.astnodes import Binary, Ident, IntLit
     upd = stmt.update
     if not isinstance(upd, AssignStmt) or not isinstance(upd.target, Ident) \
             or upd.target.name != name:
@@ -397,7 +456,6 @@ def _loop_step(stmt: ForStmt, name: str) -> Optional[int]:
 
 def _loop_bound(stmt: ForStmt, name: str, try_affine) -> Optional[AffineExpr]:
     """Extract the exclusive upper bound from ``i < B`` / ``i <= B``."""
-    from repro.lang.astnodes import Binary, Ident
     cond = stmt.cond
     if not isinstance(cond, Binary):
         return None

@@ -106,10 +106,15 @@ class AffineExpr:
         return any(n in self.terms for n in names)
 
     def evaluate(self, bindings: Mapping[str, int]) -> int:
-        """Evaluate with every term bound; raises KeyError if one is free."""
+        """Evaluate with every term bound; raises KeyError if one is free.
+
+        A binding may be an integer ndarray; the bindings then broadcast
+        against each other and the value is an array.
+        """
         total = self.const
         for name, coeff in self.terms.items():
-            total += coeff * bindings[name]
+            # Not ``+=``: an in-place add cannot widen to a broadcast shape.
+            total = total + coeff * bindings[name]
         return total
 
     def substitute(self, name: str, replacement: "AffineExpr") -> "AffineExpr":

@@ -66,6 +66,12 @@ def plan_merges(naive_kernel: Kernel, sizes: Dict[str, int],
                            for s in scratch.staged_loads)
 
     for s in sharings:
+        if s.unevaluable is not None:
+            # Refused detectably: no footprint, so no merge rests on it.
+            line = (f"load {s.access.array}: footprint not evaluable "
+                    f"({s.unevaluable}); no merge decided from it")
+            if line not in plan.reasons:
+                plan.reasons.append(line)
         if s.kind is SharingKind.NONE:
             continue
         is_g2s = (isinstance(s.access.stmt, AssignStmt)

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.ir.access import AccessInfo, collect_accesses
 from repro.ir.segments import HALF_WARP, segments_for_halfwarp
 from repro.lang.astnodes import (
@@ -217,38 +219,25 @@ def partition_imbalance(access: AccessInfo, machine: GpuSpec,
     X-neighboring blocks over a few loop iterations, following the paper's
     observation that camping happens across blocks (Section 3.7).
     """
-    if not access.resolved:
+    blocks = min(64, config.grid[0])
+    if not access.resolved or blocks <= 1:
         return 1.0
     parts = machine.num_partitions
-    width = machine.partition_width_bytes
-    counts = [0] * parts
-    blocks = min(64, config.grid[0])
-    if blocks <= 1:
-        return 1.0
-    base = _sample_bindings(access, config)
-    loop_samples = [0, 1, 2, 3]
     halfwarps = max(1, config.block[0] // HALF_WARP)
-    hw_samples = range(0, halfwarps, max(1, halfwarps // 8))
-    for b in range(blocks):
-        for hw in hw_samples:
-            for it in loop_samples:
-                bind = dict(base)
-                bind["bidx"] = b
-                bind["tidx"] = hw * HALF_WARP
-                bind["idx"] = b * config.block[0] + hw * HALF_WARP
-                for loop in access.loops:
-                    step = loop.step or 1
-                    bind[loop.name] = it * step * HALF_WARP
-                try:
-                    addr = access.eval_address(bind)
-                except (KeyError, ZeroDivisionError):
-                    return 1.0
-                byte = addr * access.elem.size_bytes
-                counts[(byte // width) % parts] += 1
-    total = sum(counts)
-    if total == 0:
+    # One axis each: block, sampled half warp, loop iteration.
+    bidx = np.arange(blocks)[:, None, None]
+    tidx = np.arange(0, halfwarps, max(1, halfwarps // 8))[:, None] * HALF_WARP
+    step = np.arange(4) * HALF_WARP
+    axes = dict(_sample_bindings(access, config), bidx=bidx, tidx=tidx,
+                idx=bidx * config.block[0] + tidx)
+    axes.update((loop.name, step * (loop.step or 1)) for loop in access.loops)
+    try:
+        byte = access.eval_addresses(axes) * access.elem.size_bytes
+    except (KeyError, ZeroDivisionError):
         return 1.0
-    return max(counts) * parts / total
+    partition = byte // machine.partition_width_bytes % parts
+    counts = np.bincount(partition.ravel(), minlength=parts)
+    return float(counts.max() * parts / counts.sum())
 
 
 # ---------------------------------------------------------------------------

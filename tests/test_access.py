@@ -1,11 +1,13 @@
 """Access collection: addresses, loop info, guards, quasi-affine terms."""
 
+import numpy as np
 import pytest
 
 from repro.ir.access import collect_accesses, eval_int_expr, \
     int_expr_alignment
 from repro.ir.indices import IndexClass
 from repro.lang.parser import parse_kernel
+from repro.sim.values import c_div, c_mod
 
 SIZES = {"n": 64, "m": 64, "w": 64}
 
@@ -126,6 +128,39 @@ class TestQuasiAffine:
         # i_p = (16 + 64) % 64 = 16; addr = 3*64 + 16 + 3
         assert addr == 3 * 64 + 16 + 3
 
+    def test_eval_addresses_broadcasts_the_axes(self):
+        accs = by_array(self.SRC, {"n": 64, "w": 64})
+        load = accs["a"][0]
+        bidx = np.arange(3)[:, None, None]
+        tidx = np.arange(16)[:, None]
+        i = np.arange(0, 64, 16)
+        grid = load.eval_addresses({"idx": bidx * 16 + tidx, "tidx": tidx,
+                                    "bidx": bidx, "i": i, "tidy": 7})
+        assert grid.shape == (3, 16, 4) and grid.dtype == np.int64
+        for b in range(3):
+            for t in range(16):
+                for k in range(4):
+                    assert grid[b, t, k] == load.eval_address(
+                        {"idx": b * 16 + t, "tidx": t, "bidx": b,
+                         "i": 16 * k})
+        # Same failures as the scalar evaluator.
+        with pytest.raises(KeyError):
+            load.eval_addresses({"idx": tidx, "tidx": tidx, "i": i})
+
+    def test_term_reads_follows_nested_definitions(self):
+        src = """
+        __global__ void f(float a[n], float c[n], int n, int w) {
+            for (int i = 0; i < w; i++) {
+                int p = (i + bidx) % w;
+                int q = (p * tidx) % 5;
+                c[idx] = a[q];
+            }
+        }
+        """
+        load = by_array(src, {"n": 64, "w": 64})["a"][0]
+        assert load.quasi_terms == ("@q",)
+        assert load.term_reads("@q") == {"p", "tidx", "i", "bidx", "w"}
+
     def test_alignment_of_rotation(self):
         accs = by_array(self.SRC, {"n": 64, "w": 64})
         load = accs["a"][0]
@@ -139,6 +174,24 @@ class TestHelpers:
         src = "__global__ void f(int n) { int q = (0 - 7) / 2; }"
         expr = parse_kernel(src).body[0].init
         assert eval_int_expr(expr, {}, {}) == -3  # C truncates toward zero
+
+    def test_eval_int_expr_c_semantics_on_arrays(self):
+        src = "__global__ void f(int n) { int q = x / y * 100 + x % y; }"
+        expr = parse_kernel(src).body[0].init
+        x = np.arange(-9, 10)[:, None]
+        y = np.array([-4, -1, 1, 2, 7])
+        got = eval_int_expr(expr, {"x": x, "y": y}, {})
+        assert got.shape == (19, 5)
+        for i, xv in enumerate(x.ravel()):
+            for j, yv in enumerate(y):
+                assert got[i, j] == eval_int_expr(
+                    expr, {"x": int(xv), "y": int(yv)}, {})
+                assert got[i, j] == c_div(int(xv), int(yv)) * 100 \
+                    + c_mod(int(xv), int(yv))
+        with pytest.raises(ZeroDivisionError):
+            eval_int_expr(expr, {"x": x, "y": np.array([3, 0])}, {})
+        with pytest.raises(ZeroDivisionError):
+            eval_int_expr(expr, {"x": 3, "y": 0}, {})
 
     def test_int_expr_alignment_gcd(self):
         src = "__global__ void f(int n) { int q = i * 16 + b * 64; }"

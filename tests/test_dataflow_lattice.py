@@ -9,8 +9,11 @@ producing a subtly-narrow summary the cleanup pass would then trust.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.dataflow import Interval, Stride, Val
+from repro.analysis.dataflow.engine import _join_envs
 from repro.sim.values import c_div, c_mod
 
 
@@ -172,3 +175,32 @@ def test_stride_ops_sound(m1, r1, m2, r2):
     joined = s1.join(s2)
     for v in members(m1, r1) + members(m2, r2):
         assert joined.contains(v)
+
+
+# ---------------------------------------------------------------------------
+# join is idempotent: the engine's merge returns an untouched value as is
+# ---------------------------------------------------------------------------
+
+_bounds = st.one_of(st.none(), st.integers(-1000, 1000))
+_vals = st.builds(
+    Val,
+    st.builds(Interval, _bounds, _bounds),       # lo > hi draws bottom
+    st.builds(Stride, st.integers(-64, 64), st.integers(-200, 200)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vals)
+def test_join_is_idempotent(v):
+    assert v.join(v) == v
+    assert v.iv.join(v.iv) == v.iv
+    assert v.st.join(v.st) == v.st
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from("abcdef"), _vals),
+       st.dictionaries(st.sampled_from("abcdef"), _vals))
+def test_join_envs_shortcut_agrees_with_the_pointwise_join(a, b):
+    shared = {name: a[name] for name in list(a)[::2] if name in b}
+    b = dict(b, **shared)       # some names reach the merge as one object
+    assert _join_envs(a, b) == {name: a[name].join(b[name])
+                                for name in a if name in b}

@@ -4,11 +4,14 @@ import pytest
 
 from repro.ir.access import collect_accesses
 from repro.ir.dependence import (SharingKind, analyze_array_sharing,
-                                 analyze_sharing, block_delta)
+                                 analyze_sharing, block_delta,
+                                 footprint_set)
 from repro.ir.segments import (address_range, halfwarp_addresses,
                                segments_for_halfwarp,
                                transactions_per_halfwarp)
 from repro.lang.parser import parse_kernel
+from repro.machine import GTX280
+from repro.passes.sharing import plan_merges
 
 SIZES = {"n": 64, "m": 64, "w": 64}
 
@@ -80,6 +83,49 @@ class TestSharing:
         b = load_of(mm_source, "b")
         assert block_delta(b.address, "x", (16, 1)) == 16
         assert block_delta(b.address, "y", (16, 1)) == 0
+
+    UNEVALUABLE = """
+    __global__ void f(float a[n][m], float c[n][m], int n, int m, int w,
+                      int q) {
+        float s = 0;
+        for (int i = 0; i < w; i++) {
+            int r = (i + q) % w;
+            s += a[idy][idx + r] + a[idy + i][idx];
+        }
+        c[idy][idx] = s;
+    }
+    """
+
+    def test_unevaluable_term_is_a_diagnosed_verdict(self):
+        # ``q`` has no binding, so ``r`` has no value on any sample point.
+        # The old enumerator returned whatever it had collected so far and
+        # a verdict was computed from that; now the verdict says so.
+        accs = collect_accesses(parse_kernel(self.UNEVALUABLE),
+                                {"n": 64, "m": 64, "w": 64})
+        rotated, plain = [s for s in analyze_sharing(accs)
+                          if s.direction == "y"]
+        assert rotated.unevaluable == "q"
+        assert rotated.kind is SharingKind.NONE
+        assert rotated.overlap_fraction == 0.0
+        assert plain.unevaluable is None
+        assert plain.kind is SharingKind.PARTIAL
+        with pytest.raises(KeyError):
+            footprint_set(rotated.access, (0, 0), (16, 1))
+
+    def test_division_by_zero_in_a_term_is_diagnosed_too(self):
+        accs = collect_accesses(parse_kernel(self.UNEVALUABLE),
+                                {"n": 64, "m": 64, "w": 0, "q": 3})
+        rotated = next(s for s in analyze_sharing(accs) if s.unevaluable)
+        assert "division by zero" in rotated.unevaluable
+
+    def test_planner_names_the_array_and_the_free_term(self):
+        plan = plan_merges(parse_kernel(self.UNEVALUABLE),
+                           {"n": 64, "m": 64, "w": 64}, (64, 64), GTX280)
+        diagnosed = [r for r in plan.reasons if "not evaluable" in r]
+        assert diagnosed == ["load a: footprint not evaluable (q); "
+                             "no merge decided from it"]
+        # The evaluable load of the same array still drives its merge.
+        assert plan.thread_merge_y or plan.block_merge_y
 
     def test_stores_not_analyzed(self, mm_source):
         accs = collect_accesses(parse_kernel(mm_source), SIZES)
