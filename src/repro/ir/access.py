@@ -15,6 +15,7 @@ from typing import (Dict, List, Mapping, Optional, Sequence, Set, Tuple,
 
 import numpy as np
 
+from repro.lang.arith import c_div, c_mod
 from repro.lang.astnodes import (
     ArrayRef,
     AssignStmt,
@@ -183,20 +184,8 @@ class AccessInfo:
         return f"<{kind} {self.array}[{idx}] in {self.space}>"
 
 
-def _c_div(a: Axis, b: Axis) -> Axis:
-    """C ``/`` (truncates toward zero) on ints or int64 arrays."""
-    if not np.all(b):
-        raise ZeroDivisionError("integer division by zero in address term")
-    return abs(a) // abs(b) * (1 - 2 * ((a < 0) != (b < 0)))
-
-
-def _c_mod(a: Axis, b: Axis) -> Axis:
-    """C ``%`` (sign of the dividend) on ints or int64 arrays."""
-    return a - _c_div(a, b) * b
-
-
 _INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-            "/": _c_div, "%": _c_mod,
+            "/": c_div, "%": c_mod,
             "<<": operator.lshift, ">>": operator.rshift,
             "&": operator.and_, "|": operator.or_, "^": operator.xor}
 

@@ -38,6 +38,7 @@ from repro.lang.astnodes import (
     DeclStmt,
     Expr,
     Ident,
+    IntLit,
     Kernel,
     Member,
     Stmt,
@@ -56,8 +57,8 @@ from repro.sim.values import (
     truth,
 )
 
-__all__ = ["MAX_STEPS_DEFAULT", "KernelRuntimeError", "Thread", "launch",
-           "lower"]
+__all__ = ["MAX_STEPS_DEFAULT", "KernelRuntimeError", "NodeLowering",
+           "Thread", "launch", "lower"]
 
 MAX_STEPS_DEFAULT = 50_000_000
 
@@ -136,6 +137,10 @@ def _noop(*values):
     return None
 
 
+def _same(value):
+    return value
+
+
 def _exit(thread):
     """End of kernel; a part that makes any body a coroutine."""
     return
@@ -197,29 +202,23 @@ def _preemptible(fn: Callable) -> Callable:
 
 _SPACE_ATTR = {"global": "gmem", "shared": "shared", "local": "local"}
 
+#: What a store to a declared ``int`` / ``float`` does to the value.
+_SCALAR_CASTS: Dict[str, Callable] = {"int": int, "float": float}
+
 _VECTOR_CONSTRUCTORS = {
     "make_float2": lambda *a: Float2(float(a[0]), float(a[1])),
     "make_float4": lambda *a: Float4(*map(float, a)),
 }
 
 
-class _Lowering:
-    """One kernel -> closures, under one launch's hooks and budget."""
+class NodeLowering:
+    """What every lowering starts from: an AST node goes to the method
+    named after its class, an operator to its entry in a table, and the
+    statements that only compose others are written in terms of the
+    subclass's ``_chain(parts, cost)`` and ``_loop(cond, body)``."""
 
-    def __init__(self, kernel: Kernel, preempt: bool, max_steps: int,
-                 trace, profile):
-        if early_returns(kernel):
-            raise KernelRuntimeError(
-                f"kernel {kernel.name!r}: 'return' is only supported as "
-                f"the final statement of the kernel body")
-        self._preempt = preempt
-        self._spend = _budget(max_steps)
-        self._trace = trace
-        self._profile = profile
-        self._space = {p.name: "global" for p in kernel.array_params()}
-        for s in walk_stmts(kernel.body):
-            if isinstance(s, DeclStmt) and s.is_array:
-                self._space[s.name] = "shared" if s.shared else "local"
+    _chain: Callable[[Sequence[Callable], int], Callable]
+    _loop: Callable[[Callable, Callable], Callable]
 
     def _node(self, kind: str, node):
         method = getattr(self, f"_{kind}_{type(node).__name__}", None)
@@ -240,6 +239,51 @@ class _Lowering:
             return table[op]
         except KeyError:
             raise KernelRuntimeError(f"unknown operator {op!r}") from None
+
+    def body(self, stmts: Sequence[Stmt], extra: int = 0) -> Callable:
+        """``stmts`` in order, charged one step each plus ``extra``."""
+        return self._chain([self.stmt(s) for s in stmts], len(stmts) + extra)
+
+    def _stmt_ExprStmt(self, s) -> Callable:
+        return self.expr(s.expr)
+
+    def _stmt_Block(self, s) -> Callable:
+        return self.body(s.body)
+
+    def _stmt_WhileStmt(self, s) -> Callable:
+        return self._loop(self.expr(s.cond), self.body(s.body, extra=1))
+
+    def _stmt_ForStmt(self, s) -> Callable:
+        # The init first: it may declare the type the update stores to.
+        init = self.stmt(s.init) if s.init is not None else None
+        cond = self.expr(s.cond if s.cond is not None else IntLit(1))
+        update = [s.update] if s.update is not None else []
+        # The body pays the back-edge: one more step per iteration.
+        loop = self._loop(cond, self.body([*s.body, *update], extra=1))
+        return loop if init is None else self._chain([init, loop], 1)
+
+
+class _Lowering(NodeLowering):
+    """One kernel -> closures, under one launch's hooks and budget."""
+
+    def __init__(self, kernel: Kernel, preempt: bool, max_steps: int,
+                 trace, profile):
+        if early_returns(kernel):
+            raise KernelRuntimeError(
+                f"kernel {kernel.name!r}: 'return' is only supported as "
+                f"the final statement of the kernel body")
+        self._preempt = preempt
+        self._spend = _budget(max_steps)
+        self._trace = trace
+        self._profile = profile
+        self._space = {p.name: "global" for p in kernel.array_params()}
+        # Declared type of each scalar name, as of the statement being
+        # lowered: a store casts to it, whatever value the name holds.
+        self._declared = {p.name: p.type.name
+                          for p in kernel.scalar_params()}
+        for s in walk_stmts(kernel.body):
+            if isinstance(s, DeclStmt) and s.is_array:
+                self._space[s.name] = "shared" if s.shared else "local"
 
     # -- expressions ---------------------------------------------------------
 
@@ -339,16 +383,14 @@ class _Lowering:
     def _store(self, target: Expr, value: Callable) -> Callable:
         if isinstance(target, Ident):
             name = target.name
+            cast = _SCALAR_CASTS.get(self._declared.get(name, "int"), _same)
 
             def assign(thread, v):
                 env = thread.env
                 if name not in env:
                     raise KernelRuntimeError(
                         f"store to undeclared variable {name!r}")
-                if isinstance(env[name], int) \
-                        and not isinstance(v, (Float2, Float4)):
-                    v = int(v)
-                env[name] = v
+                env[name] = cast(v)
             return _apply(assign, [_self, value])
         if isinstance(target, ArrayRef):
             return self._access(target, value)
@@ -371,13 +413,10 @@ class _Lowering:
     def _chain(self, parts: Sequence[Callable], cost: int) -> Callable:
         """Run ``parts`` in order, charging ``cost`` steps on entry (no
         statement can leave a body early, so entry is as good as each)."""
+        if not parts and not cost:
+            return _noop
         spend = self._spend
         return _apply(_noop, [lambda thread: spend(cost), *parts])
-
-    def body(self, stmts: Sequence[Stmt], extra: int = 0) -> Callable:
-        if not stmts and not extra:
-            return _noop
-        return self._chain([self.stmt(s) for s in stmts], len(stmts) + extra)
 
     def _stmt_DeclStmt(self, s) -> Callable:
         name, type_name = s.name, s.type.name
@@ -393,7 +432,8 @@ class _Lowering:
                     # One allocation per block; later threads reuse it.
                     thread.shared.allocate(name, shape, type_name)
             return declare
-        cast = {"int": int, "float": float}.get(type_name, lambda v: v)
+        self._declared[name] = type_name
+        cast = _SCALAR_CASTS.get(type_name, _same)
 
         def bind(thread, value):
             thread.env[name] = cast(value)
@@ -408,9 +448,6 @@ class _Lowering:
             value = _apply(lambda v, current: op(current, v),
                            [value, self.expr(s.target)])
         return self._store(s.target, value)
-
-    def _stmt_ExprStmt(self, s) -> Callable:
-        return self.expr(s.expr)
 
     def _stmt_SyncStmt(self, s) -> Callable:
         profile = self._profile
@@ -463,19 +500,6 @@ class _Lowering:
                     yield None
             path.pop()
         return run
-
-    def _stmt_WhileStmt(self, s) -> Callable:
-        return self._loop(self.expr(s.cond), self.body(s.body, extra=1))
-
-    def _stmt_ForStmt(self, s) -> Callable:
-        cond = self.expr(s.cond) if s.cond is not None else _const(1)
-        update = [s.update] if s.update is not None else []
-        loop = self._loop(cond, self.body([*s.body, *update], extra=1))
-        return loop if s.init is None \
-            else self._chain([self.stmt(s.init), loop], 1)
-
-    def _stmt_Block(self, s) -> Callable:
-        return self.body(s.body)
 
     def _stmt_ReturnStmt(self, s) -> Callable:
         return _exit    # only the trailing one gets here

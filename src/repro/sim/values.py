@@ -6,6 +6,8 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Dict
 
+from repro.lang.arith import c_div, c_mod
+
 
 @dataclass
 class Float2:
@@ -35,25 +37,6 @@ class Float4:
 
     def copy(self) -> "Float4":
         return Float4(self.x, self.y, self.z, self.w)
-
-
-def c_div(a, b):
-    """C semantics: integer division truncates toward zero."""
-    if isinstance(a, int) and isinstance(b, int):
-        if b == 0:
-            raise ZeroDivisionError("integer division by zero in kernel")
-        q = abs(a) // abs(b)
-        return q if (a >= 0) == (b >= 0) else -q
-    return a / b
-
-
-def c_mod(a, b):
-    """C semantics: remainder has the sign of the dividend."""
-    if isinstance(a, int) and isinstance(b, int):
-        if b == 0:
-            raise ZeroDivisionError("integer modulo by zero in kernel")
-        return a - c_div(a, b) * b
-    raise TypeError("'%' requires integer operands in the kernel language")
 
 
 def truth(value) -> int:

@@ -1,95 +1,102 @@
 """Warp-vectorized execution backend: all threads of a launch as NumPy lanes.
 
-The lockstep interpreter (:mod:`repro.sim.interp`) walks the kernel AST
-once per simulated thread — a 256-thread block over a 16x16 grid walks it
-~65k times per launch.  But the kernels this compiler produces have
-exactly the structure the paper's Section 4 describes: within a barrier
-phase every thread executes the same straight-line statements over affine
-index lanes.  This backend exploits that: it slices the kernel into
-barrier phases once (:mod:`repro.sim.phases`, the same slicing the race
-detector uses) and evaluates every statement for *all* threads of the
-launch simultaneously as flat lane vectors —
+The lockstep interpreter (:mod:`repro.sim.interp`) runs the kernel once
+per simulated thread — ~65k times for a 256-thread block over a 16x16
+grid.  But the kernels this compiler produces have exactly the structure
+the paper's Section 4 describes: within a barrier phase every thread
+executes the same straight-line statements over affine index lanes.  This
+backend evaluates every statement for *all* threads of the launch at
+once, one lane per thread.
 
-* ``idx``/``idy``/``tidx``/``bidx``/... become ``int64`` index vectors of
-  length ``N`` (one lane per thread of the whole launch);
-* ``if`` becomes masked select: both branches execute under complementary
-  lane masks, and per-lane short-circuit masks keep ``&&``/``||``/``?:``
-  from evaluating guarded divisions or out-of-bounds loads, exactly like
-  the lockstep interpreter's per-thread short circuits;
-* ``for``/``while`` iterate with a per-lane live mask — lanes drop out as
-  their condition goes false, so ragged (thread-dependent) loops work;
-* ``__syncthreads()`` is a no-op for data (statement-at-a-time execution
-  makes every store visible immediately) but *checks* the mask: an
-  unconditional barrier reached by a strict subset of a block's lanes is
-  the same divergence the lockstep scheduler reports, and raises the same
-  :class:`~repro.sim.interp.BarrierError`.
+Like :mod:`repro.sim.core`, a launch **lowers** the kernel once to
+closures — here ``f(mask)`` — with each array name resolved to its
+storage slot, each operator picked from a table and ranks checked, so
+executing a statement walks no AST.  Values and masks have the two
+representations of :mod:`repro.sim.lanes` (DESIGN.md §5.3):
+
+* a value equal on every lane stays a Python scalar, computed by the
+  scalar table; only thread-varying values are ``N``-lane arrays.  A
+  uniform condition takes one branch under the unchanged mask, and a
+  variable assigned under a mask narrower than the launch becomes varying
+  at that store — which is how a ragged loop's iterator leaves the
+  uniform world.  Nothing is proved statically;
+* the mask of the whole launch is the sentinel ``None``, under which
+  bounds checks, binds, scatters, barriers and step accounting skip it.
+
+Control flow is masked select: ``if`` runs both branches under
+complementary masks; per-lane short-circuit masks keep ``&&`` / ``||`` /
+``?:`` from evaluating guarded divisions or out-of-bounds loads;
+``for``/``while`` iterate with a per-lane live mask, so ragged loops
+work; ``__syncthreads()`` moves no data (statement-at-a-time execution
+makes every store visible at once) but *checks* the mask — a barrier
+reached by a strict subset of a block's lanes raises the lockstep
+scheduler's :class:`~repro.sim.interp.BarrierError`.
 
 Bit-exactness with lockstep is a hard contract (the cross-backend
-differential suite and ``fuzz --backend both`` enforce it):
+differential suite and ``fuzz --backend both`` enforce it): float locals
+are ``float64`` (lockstep computes in Python ``float`` and narrows to
+``float32`` only at array stores); ``/`` and ``%`` are
+:mod:`repro.lang.arith`'s, faulting only on active lanes; the
+transcendentals call ``math.*`` per active lane.  Varying integers are
+``int64`` and wrap where Python ints grow without bound.
 
-* float locals are ``float64`` lanes — the lockstep interpreter computes
-  in Python ``float`` (an IEEE double) and only narrows to ``float32`` at
-  array stores, so this backend does the same;
-* integer division/modulo truncate toward zero (:func:`repro.sim.values.
-  c_div` semantics) and raise ``ZeroDivisionError`` only for lanes that
-  are actually active;
-* ``sinf``/``cosf``/``expf``/``logf`` call ``math.*`` per active lane:
-  NumPy's vectorized transcendentals may differ from libm in the last
-  ulp, and the contract is bit-identical outputs, not "close".
+``unsupported_reasons`` classifies the two constructs a phase-sliced
+evaluator cannot reproduce — barriers under ``if`` guards (lockstep
+synchronizes by barrier *count*, not site, so divergent sites can
+legally pair up) and barrier-stepped loops with thread- or
+data-dependent bounds.  ``auto`` (:mod:`repro.sim.backend`) falls back
+to lockstep on those; ``vectorized`` raises
+:class:`UnsupportedKernelError`.
 
-Not every kernel is vectorizable this way.  ``unsupported_reasons``
-classifies the two constructs whose lockstep semantics a phase-sliced
-evaluator cannot reproduce — barriers under ``if`` guards (the lockstep
-scheduler synchronizes threads by barrier *count*, not site, so divergent
-sites can legally pair up) and barrier-stepped loops with thread- or
-data-dependent bounds.  The ``auto`` backend in :mod:`repro.sim.backend`
-falls back to lockstep on those; requesting ``vectorized`` explicitly
-raises :class:`UnsupportedKernelError`.
-
-Scope note: for *racy* kernels (same-phase conflicting accesses, which
-the static verifier reports and the paper's transforms never emit) the
-two backends may legitimately differ — lockstep runs each thread of a
-phase to completion in thread order, while this backend interleaves at
-statement granularity.  The differential harness therefore only compares
-backends on verifier-clean kernels.
+For *racy* kernels (same-phase conflicting accesses, which the verifier
+reports and the paper's transforms never emit) the two backends may
+legitimately differ — lockstep runs each thread of a phase to completion
+in thread order, this backend interleaves at statement granularity — so
+the differential harness only compares verifier-clean kernels.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy import ndarray
 
 from repro.lang.astnodes import (
     ArrayRef,
     AssignStmt,
-    Binary,
-    Block,
-    Call,
     DeclStmt,
     Expr,
-    ExprStmt,
-    FloatLit,
     ForStmt,
     Ident,
-    IfStmt,
-    IntLit,
     Kernel,
     Member,
     ReturnStmt,
-    Stmt,
-    SyncStmt,
-    Ternary,
-    Unary,
     WhileStmt,
     early_returns,
     walk_exprs,
+    walk_stmts,
 )
 from repro.lang.builtins import BUILTIN_FUNCTIONS
-from repro.sim.core import MAX_STEPS_DEFAULT
+from repro.sim.core import MAX_STEPS_DEFAULT, NodeLowering
 from repro.sim.interp import BarrierError, KernelRuntimeError, LaunchConfig
+from repro.sim.lanes import (
+    CASTS,
+    LANE_BINARY,
+    LANE_CALLS,
+    LANE_UNARY,
+    LaneVec,
+    Mask,
+    Value,
+    active,
+    as_float,
+    as_int,
+    flag,
+    narrow,
+    truth,
+)
 from repro.sim.phases import PhaseSlicing, slice_phases
+from repro.sim.values import BINARY_OPS, UNARY_OPS
 
 __all__ = ["UnsupportedKernelError", "VectorizedInterpreter",
            "unsupported_reasons"]
@@ -179,60 +186,586 @@ def unsupported_reasons(kernel: Kernel,
                 break
             if name is not None:
                 iterators.add(name)
-    # Deduplicate while preserving order.
-    seen = set()
-    out = []
-    for r in reasons:
-        if r not in seen:
-            seen.add(r)
-            out.append(r)
-    return out
+    return list(dict.fromkeys(reasons))    # first of each, in order
 
 
-class _LaneVec:
-    """A float2/float4 value for every lane: an ``(N, lanes)`` array."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: np.ndarray):
-        self.data = data
-
-    @property
-    def lanes(self) -> int:
-        return self.data.shape[1]
-
-    def member(self, name: str) -> np.ndarray:
-        return self.data[:, "xyzw".index(name)].copy()
-
-    def copy(self) -> "_LaneVec":
-        return _LaneVec(self.data.copy())
-
-
-LaneValue = Union[np.ndarray, _LaneVec]
+#: What an expression or statement lowers to.
+Node = Callable[[Mask], Value]
 
 
 class _SpaceView:
-    """One array's storage plus the per-lane leading index (if any).
+    """One array's storage slot plus the per-lane leading index (if any).
 
     Global arrays are shared by every lane (no leading index); shared
     arrays carry a per-lane *block* index; local arrays a per-lane
     *thread* index.  Loads/stores fancy-index with the lead prepended.
+    A declared array has no storage (``dims is None``) until its
+    declaration executes.
     """
 
-    __slots__ = ("space", "array", "lead", "lanes")
+    __slots__ = ("space", "array", "lead", "lanes", "rank", "dims",
+                 "integral")
 
-    def __init__(self, space: str, array: np.ndarray,
-                 lead: Optional[np.ndarray], lanes: int):
+    def __init__(self, space: str, lead, lanes: int, rank: int,
+                 integral: bool):
         self.space = space
-        self.array = array
         self.lead = lead
         self.lanes = lanes
+        self.rank = rank
+        self.integral = integral
+        self.array: Optional[ndarray] = None
+        self.dims: Optional[Tuple[int, ...]] = None     # logical extents
 
-    def dims(self) -> Tuple[int, ...]:
-        shape = self.array.shape
-        if self.lead is not None:
-            shape = shape[1:]
-        return shape[:-1] if self.lanes > 1 else shape
+
+def _uniform(value: Value, mask: Mask, what: str) -> int:
+    """A value that must agree across the active lanes."""
+    if type(value) is LaneVec:
+        raise KernelRuntimeError(f"vector value used as {what}")
+    if type(value) is ndarray:
+        lanes = active(value, mask)
+        if (lanes != lanes[0]).any():
+            raise KernelRuntimeError(
+                f"{what} differs between threads of the launch")
+        return int(lanes[0])
+    return int(value)
+
+
+def _scatter(view: _SpaceView, sel: tuple, payload, mask: Mask) -> None:
+    """Store ``payload`` at ``sel`` (lead included) for the active lanes."""
+    if mask is not None:
+        sel = tuple(s[mask] if type(s) is ndarray else s for s in sel)
+        if type(payload) is ndarray:
+            payload = payload[mask]
+    if type(payload) is ndarray \
+            and not any(type(s) is ndarray for s in sel):
+        # Every active lane stores to one cell: the last wins, as it
+        # does when lockstep runs the threads in lane order.
+        payload = payload[-1]
+    view.array[sel] = payload
+
+
+class _Lowering(NodeLowering):
+    """One kernel -> closures ``f(mask)``, over one launch's lanes, arrays,
+    scalars, hooks and step budget."""
+
+    def __init__(self, kernel: Kernel, config: LaunchConfig,
+                 arrays: Dict[str, ndarray], scalars: Dict[str, object],
+                 max_steps: int, profile):
+        gx, gy = config.grid
+        bx, by = config.block
+        n = self.n = config.total_threads
+        self.steps = 0
+        self._max_steps = max_steps
+        self._profile = profile
+        self._every_lane = np.ones(n, dtype=bool)   # the sentinel, spelt out
+
+        # Lane order is (bidy, bidx, tidy, tidx), the same nesting order
+        # the lockstep interpreter spawns threads in.  An id whose extent
+        # is 1 is zero on every lane: uniform.
+        shape = (gy, gx, by, bx)
+
+        def coordinate(axis: int):
+            if shape[axis] == 1:
+                return 0
+            index = np.arange(shape[axis], dtype=np.int64)
+            index.shape = tuple(-1 if a == axis else 1 for a in range(4))
+            return np.broadcast_to(index, shape).reshape(n)
+        bidy, bidx, tidy, tidx = map(coordinate, range(4))
+        lane = np.arange(n, dtype=np.int64)
+        self._n_blocks = gx * gy
+        self._block_of = np.repeat(
+            np.arange(self._n_blocks, dtype=np.int64), bx * by)
+
+        # Declared type of each scalar name, as of the statement being
+        # lowered: a store casts to it, whatever value the name holds.
+        self._declared: Dict[str, str] = {}
+        env: Dict[str, Value] = {}
+        for p in kernel.scalar_params():
+            if p.name not in scalars:
+                raise KeyError(f"missing scalar argument {p.name!r}")
+            self._declared[p.name] = p.type.name
+            env[p.name] = CASTS[p.type.name](scalars[p.name])
+        env.update(tidx=tidx, tidy=tidy, bidx=bidx, bidy=bidy,
+                   idx=bidx * bx + tidx, idy=bidy * by + tidy,
+                   bdimx=bx, bdimy=by, gdimx=gx, gdimy=gy)
+        self._env = env
+
+        self._views: Dict[str, _SpaceView] = {}
+        for p in kernel.array_params():
+            if p.name not in arrays:
+                raise KeyError(f"missing array argument {p.name!r}")
+            array = np.asarray(arrays[p.name])
+            lanes = p.type.lanes
+            dims = array.shape[:-1] if lanes > 1 else array.shape
+            view = _SpaceView("global", None, lanes, len(dims),
+                              array.dtype.kind == "i")
+            view.array, view.dims = array, dims
+            self._views[p.name] = view
+        shared_lead = self._block_of if self._n_blocks > 1 else 0
+        for s in walk_stmts(kernel.body):
+            if isinstance(s, DeclStmt) and s.is_array:
+                self._views[s.name] = _SpaceView(
+                    "shared" if s.shared else "local",
+                    shared_lead if s.shared else lane,
+                    s.type.lanes, len(s.dims), s.type.name == "int")
+
+    def _full(self, value) -> ndarray:
+        """A uniform value on every lane (lane arrays pass through)."""
+        return value if type(value) is ndarray else np.full(self.n, value)
+
+    def _lanes_of(self, mask: Mask) -> ndarray:
+        """``mask`` as the array the profiler's hooks take."""
+        return self._every_lane if mask is None else mask
+
+    def _spend(self, statements: int, mask: Mask) -> None:
+        # Count per-lane statements and loop back-edges so runaway loops
+        # trip the same cap as the scalar core's per-thread accounting.
+        self.steps += statements * (self.n if mask is None
+                                    else int(np.count_nonzero(mask)))
+        if self.steps > self._max_steps:
+            raise KernelRuntimeError(
+                f"kernel exceeded {self._max_steps} simulated statements")
+
+    # -- expressions ---------------------------------------------------------
+
+    def _expr_IntLit(self, e) -> Node:
+        value = e.value
+        return lambda mask: value
+
+    _expr_FloatLit = _expr_IntLit
+
+    def _expr_Ident(self, e) -> Node:
+        env, name = self._env, e.name
+
+        def load(mask):
+            try:
+                return env[name]
+            except KeyError:
+                raise KernelRuntimeError(
+                    f"use of undefined variable {name!r}") from None
+        return load
+
+    def _expr_Member(self, e) -> Node:
+        base, member = self.expr(e.base), e.member
+        lane = "xyzw".index(member)
+
+        def select(mask):
+            vec = base(mask)
+            if type(vec) is not LaneVec:
+                raise KernelRuntimeError(
+                    f"member .{member} of non-vector value")
+            if lane >= vec.lanes:
+                raise KernelRuntimeError(
+                    f"member .{member} of float{vec.lanes} value")
+            return vec.data[:, lane].copy()
+        return select
+
+    def _expr_Unary(self, e) -> Node:
+        operand = self.expr(e.operand)
+        scalar = self._op(UNARY_OPS, e.op)
+        lanes = LANE_UNARY.get(e.op, scalar)
+
+        def unary(mask):
+            value = operand(mask)
+            if type(value) is ndarray:
+                return lanes(value)
+            if type(value) is LaneVec:
+                raise KernelRuntimeError(
+                    f"unary {e.op!r} of a vector value")
+            return scalar(value)
+        return unary
+
+    def _operator(self, op: str) -> Callable[[Value, Value, Mask], Value]:
+        """A strict binary operator as ``apply(a, b, mask)``: the scalar
+        table on two uniform operands, lane arithmetic otherwise."""
+        scalar = self._op(BINARY_OPS, op)
+        lanes = LANE_BINARY.get(op, scalar)
+        divides = op in ("/", "%")
+
+        def apply(a, b, mask):
+            ta, tb = type(a), type(b)
+            if ta is LaneVec or tb is LaneVec:
+                raise KernelRuntimeError(
+                    f"operator {op!r} is not defined on vector values")
+            if ta is ndarray or tb is ndarray:
+                if divides and mask is not None and tb is ndarray:
+                    # Only an active lane's zero divisor is a fault.
+                    b = np.where(mask, b, 1)
+                return lanes(a, b)
+            return scalar(a, b)
+        return apply
+
+    def _expr_Binary(self, e) -> Node:
+        left, right = self.expr(e.left), self.expr(e.right)
+        if e.op in ("&&", "||"):
+            return self._logical(e.op == "&&", left, right)
+        apply = self._operator(e.op)
+        return lambda mask: apply(left(mask), right(mask), mask)
+
+    @staticmethod
+    def _logical(conj: bool, left: Node, right: Node) -> Node:
+        """``&&`` / ``||``: the right side is evaluated only on the lanes
+        the left side did not already decide."""
+        def logical(mask):
+            a = truth(left(mask))
+            if type(a) is not ndarray:
+                return flag(truth(right(mask))) if a == conj else int(a)
+            need = narrow(mask, a if conj else ~a)
+            if need is None:
+                return flag(truth(right(None)))
+            if need is False:
+                return a.astype(np.int64)
+            b = need & truth(right(need))
+            return (b if conj else a | b).astype(np.int64)
+        return logical
+
+    def _expr_Ternary(self, e) -> Node:
+        cond, then, other = map(self.expr, (e.cond, e.then, e.otherwise))
+
+        def select(mask):
+            c = truth(cond(mask))
+            if type(c) is not ndarray:
+                return then(mask) if c else other(mask)
+            # Each arm is evaluated only where it is taken.
+            taken = narrow(mask, c)
+            if taken is None or taken is False:
+                return other(mask) if taken is False else then(None)
+            rest = narrow(mask, ~c)
+            if rest is False:
+                return then(taken)
+            tv, ov = then(taken), other(rest)
+            if type(tv) is LaneVec or type(ov) is LaneVec:
+                if not (type(tv) is type(ov) and tv.lanes == ov.lanes):
+                    raise KernelRuntimeError(
+                        "ternary arms mix vector and scalar values")
+                return LaneVec(np.where(taken[:, None], tv.data, ov.data))
+            return np.where(taken, tv, ov)
+        return select
+
+    def _expr_Call(self, e) -> Node:
+        name = e.name
+        args = [self.expr(a) for a in e.args]
+        if name in ("make_float2", "make_float4"):
+            if len(args) != int(name[-1]):
+                raise KernelRuntimeError(
+                    f"{name} takes {name[-1]} arguments, got {len(args)}")
+            full = self._full
+            return lambda mask: LaneVec(np.stack(
+                [as_float(full(a(mask))) for a in args], axis=1))
+        scalar, lanes = BUILTIN_FUNCTIONS.get(name), LANE_CALLS.get(name)
+        if scalar is None or lanes is None:
+            raise KernelRuntimeError(f"unknown function {name!r}")
+
+        def call(mask):
+            values = [a(mask) for a in args]
+            kinds = [type(v) for v in values]
+            if LaneVec in kinds:
+                raise KernelRuntimeError(f"{name}() of a vector value")
+            return lanes(values, mask) if ndarray in kinds \
+                else scalar(*values)
+        return call
+
+    # -- memory --------------------------------------------------------------
+
+    def _resolve(self, ref: ArrayRef) -> Tuple[_SpaceView, Callable]:
+        """``ref``'s slot and ``resolve(mask, is_store)``: the checked
+        subscripts as a fancy index, lead included.
+
+        Every active lane's subscript is bounds-checked per dimension; an
+        inactive lane's is clamped so the full-width gather is safe.
+        """
+        name = ref.base.name
+        view = self._views.get(name)
+        if view is None:
+            raise KernelRuntimeError(f"reference to unknown array {name!r}")
+        subs = [self.expr(i) for i in ref.indices]
+        if len(subs) != view.rank:
+            raise IndexError(
+                f"{view.space} array {name!r} has rank {view.rank}, "
+                f"got {len(subs)} indices")
+        lead = () if view.lead is None else (view.lead,)
+        observe = self._observe \
+            if self._profile is not None and view.space != "local" else None
+
+        def out_of_range(ix, ext, dim):
+            return IndexError(
+                f"{view.space} array {name!r} index {ix} out of "
+                f"range [0, {ext}) in dimension {dim}")
+
+        def resolve(mask, is_store):
+            dims = view.dims
+            if dims is None:    # declared, but the declaration never ran
+                raise KernelRuntimeError(
+                    f"reference to unknown array {name!r}")
+            sel = lead
+            for dim, sub in enumerate(subs):
+                ix, ext = as_int(sub(mask)), dims[dim]
+                if type(ix) is ndarray:
+                    if ix.min() < 0 or ix.max() >= ext:
+                        bad = (ix < 0) | (ix >= ext)
+                        faults = bad if mask is None else bad & mask
+                        if faults.any():
+                            raise out_of_range(int(ix[np.argmax(faults)]),
+                                               ext, dim)
+                        ix = np.where(bad, 0, ix)
+                elif not 0 <= ix < ext:
+                    raise out_of_range(ix, ext, dim)
+                sel += (ix,)
+            if observe is not None:
+                observe(view, ref, sel[len(lead):], mask, is_store)
+            return sel
+        return view, resolve
+
+    def _observe(self, view: _SpaceView, ref: ArrayRef, indices: tuple,
+                 mask: Mask, is_store: bool) -> None:
+        """Feed one masked access to the profiler (global/shared only).
+
+        Addresses are row-major linear *element* indices over the array's
+        logical dims, matching the lockstep memory stores'
+        ``linear_address`` so cross-backend counters agree exactly.
+        """
+        addr = 0
+        for ix, ext in zip(indices, view.dims):
+            addr = addr * ext + ix
+        self._profile.access_lanes(view.space, ref.base.name,
+                                   self._full(addr), self._lanes_of(mask),
+                                   is_store, ref)
+
+    def _expr_ArrayRef(self, e) -> Node:
+        view, resolve = self._resolve(e)
+        n = self.n
+        dtype = np.int64 if view.integral else np.float64
+
+        def load(mask):
+            data = view.array[resolve(mask, False)]
+            if view.lanes > 1:
+                if data.ndim == 1:      # one cell, read by every lane
+                    data = np.tile(data, (n, 1))
+                return LaneVec(data.astype(np.float64))
+            # All-uniform subscripts without a lead read one cell.
+            return data.astype(dtype) if type(data) is ndarray \
+                else data.item()
+        return load
+
+    def _bind(self, name: str, value: Value, mask: Mask) -> None:
+        """(Re)bind ``name`` for the active lanes, keeping others' values.
+
+        Scalar lanes in the environment are never written in place, so
+        values may share them freely; a vector owns its array (member
+        stores write into it)."""
+        env = self._env
+        if type(value) is LaneVec:
+            old = env.get(name)
+            if mask is None:
+                env[name] = LaneVec(value.data.copy())
+            elif type(old) is LaneVec and old.lanes == value.lanes:
+                old.data[mask] = value.data[mask]
+            else:
+                env[name] = LaneVec(np.where(mask[:, None], value.data, 0.0))
+        elif mask is None:
+            env[name] = value
+        else:
+            # Under a narrower mask even a uniform value becomes varying.
+            old = env.get(name, 0)
+            env[name] = np.where(mask, value,
+                                 0 if type(old) is LaneVec else old)
+
+    def _store(self, target: Expr, value: Node) -> Node:
+        env = self._env
+        if isinstance(target, Ident):
+            name, bind = target.name, self._bind
+            cast = CASTS.get(self._declared.get(name, "int"))
+
+            def assign(mask):
+                v = value(mask)
+                if name not in env:
+                    raise KernelRuntimeError(
+                        f"store to undeclared variable {name!r}")
+                bind(name, v if cast is None else cast(v), mask)
+            return assign
+        if isinstance(target, ArrayRef):
+            view, resolve = self._resolve(target)
+            name = target.base.name
+
+            def store(mask):
+                v = value(mask)
+                got = v.lanes if type(v) is LaneVec else 1
+                if got != view.lanes:
+                    raise TypeError(
+                        f"cannot store {f'float{got}' if got > 1 else 'scalar'}"
+                        f" into {view.lanes}-lane array {name!r}")
+                _scatter(view, resolve(mask, True),
+                         v.data if got > 1 else v, mask)
+            return store
+        if isinstance(target, Member):
+            base, member = target.base, target.member
+            lane = "xyzw".index(member)
+            if isinstance(base, Ident):
+                name = base.name
+
+                def set_member(mask):
+                    v = as_float(value(mask))
+                    vec = env.get(name)
+                    if type(vec) is not LaneVec:
+                        raise KernelRuntimeError(
+                            f"member store to non-vector {name!r}")
+                    if mask is None:
+                        vec.data[:, lane] = v
+                    else:
+                        vec.data[mask, lane] = active(v, mask) \
+                            if type(v) is ndarray else v
+                return set_member
+            if isinstance(base, ArrayRef):
+                view, resolve = self._resolve(base)
+                if view.lanes <= lane:
+                    raise KernelRuntimeError(
+                        f"member store .{member} to {view.lanes}-lane "
+                        f"array {base.name!r}")
+
+                def store_member(mask):
+                    v = as_float(value(mask))
+                    _scatter(view, resolve(mask, True) + (lane,), v, mask)
+                return store_member
+        raise KernelRuntimeError(f"invalid store target {target!r}")
+
+    # -- statements ----------------------------------------------------------
+
+    def _chain(self, parts: Sequence[Node], cost: int) -> Node:
+        """Run ``parts`` in order, charging ``cost`` statements per active
+        lane on entry (no statement can leave a body early, and the mask
+        cannot change inside one)."""
+        spend = self._spend
+
+        def run(mask):
+            spend(cost, mask)
+            for part in parts:
+                part(mask)
+        return run
+
+    def _stmt_DeclStmt(self, s) -> Node:
+        name, type_name, bind = s.name, s.type.name, self._bind
+        if s.is_array:
+            return self._declare_array(s)
+        self._declared[name] = type_name
+        init = self.expr(s.init) if s.init is not None else None
+        if type_name in CASTS:
+            cast, zero = CASTS[type_name], CASTS[type_name](0)
+            if init is None:
+                return lambda mask: bind(name, zero, mask)
+            return lambda mask: bind(name, cast(init(mask)), mask)
+        n, lanes = self.n, s.type.lanes
+
+        def declare(mask):
+            value = init(mask) if init is not None \
+                else LaneVec(np.zeros((n, lanes)))
+            if type(value) is not LaneVec:
+                raise KernelRuntimeError(
+                    f"cannot initialize {type_name} from a scalar lane value")
+            bind(name, value, mask)
+        return declare
+
+    def _declare_array(self, s: DeclStmt) -> Node:
+        env, view = self._env, self._views[s.name]
+        shared = s.shared
+        rows = self._n_blocks if shared else self.n
+        tail = (s.type.lanes,) if s.type.lanes > 1 else ()
+        dtype = np.int32 if s.type.name == "int" else np.float32
+
+        def declare(mask):
+            dims = tuple(d if isinstance(d, int)
+                         else _uniform(env[d], mask, f"extent {d!r}")
+                         for d in s.dims)
+            shape = (rows,) + dims + tail
+            if view.array is None \
+                    or not shared and view.array.shape != shape:
+                # Shared: one allocation per block, zeroed once (the
+                # lockstep interpreter allocates on first execution and
+                # reuses).
+                view.array, view.dims = np.zeros(shape, dtype), dims
+            elif not shared:
+                # Re-executed declaration (e.g. inside a loop body)
+                # re-zeroes the active lanes' copies.
+                view.array[slice(None) if mask is None else mask] = 0
+        return declare
+
+    def _stmt_AssignStmt(self, s) -> Node:
+        value = self.expr(s.value)
+        if s.op == "=":
+            return self._store(s.target, value)
+        apply, current = self._operator(s.op[:-1]), self.expr(s.target)
+
+        def combined(mask):
+            v = value(mask)
+            return apply(current(mask), v, mask)
+        return self._store(s.target, combined)
+
+    def _stmt_SyncStmt(self, s) -> Node:
+        """Check barrier convergence; data is already visible (no-op)."""
+        profile, lanes_of = self._profile, self._lanes_of
+        block_of, n_blocks = self._block_of, self._n_blocks
+        per_block = self.n // n_blocks
+
+        def barrier(mask):
+            if profile is not None:
+                profile.sync_lanes(lanes_of(mask))
+            if mask is None or mask.all():
+                return
+            if s.scope == "global":
+                raise BarrierError(
+                    f"{int((~mask).sum())} thread(s) missed a __global_sync "
+                    f"other threads reached")
+            # Block scope: every block must arrive all-or-none.
+            arrived = np.bincount(block_of[mask], minlength=n_blocks)
+            partial = np.nonzero((arrived != 0) & (arrived != per_block))[0]
+            if partial.size:
+                b = int(partial[0])
+                raise BarrierError(
+                    f"block {b}: threads diverged at a barrier "
+                    f"({int(arrived[b])}/{per_block} arrived)")
+        return barrier
+
+    def _stmt_IfStmt(self, s) -> Node:
+        cond, then = self.expr(s.cond), self.body(s.then_body)
+        other = self.body(s.else_body) if s.else_body else None
+        profile, lanes_of, full = self._profile, self._lanes_of, self._full
+
+        def branch(mask):
+            c = truth(cond(mask))
+            if profile is not None:
+                profile.branch_lanes(s, lanes_of(mask), full(c))
+            if type(c) is not ndarray:
+                # A uniform condition: one branch, the mask unchanged.
+                if c:
+                    then(mask)
+                elif other is not None:
+                    other(mask)
+                return
+            taken = narrow(mask, c)
+            if taken is not False:
+                then(taken)
+            if other is not None and taken is not None:
+                rest = mask if taken is False else narrow(mask, ~c)
+                if rest is not False:
+                    other(rest)
+        return branch
+
+    @staticmethod
+    def _loop(cond: Node, body: Node) -> Node:
+        """``while (cond) body`` over a per-lane live mask — ``body``
+        already pays the back-edge.  Lanes drop out as their condition
+        goes false; a uniform condition keeps or ends them all."""
+        def loop(mask):
+            live = mask
+            while True:
+                c = truth(cond(live))
+                if type(c) is ndarray:
+                    live = narrow(live, c)
+                    if live is False:
+                        return
+                elif not c:
+                    return
+                body(live)
+        return loop
 
 
 class VectorizedInterpreter:
@@ -252,633 +785,23 @@ class VectorizedInterpreter:
         self._kernel = kernel
         self._profile = profile    # repro.obs.profile.ProfileCollector
         self._max_steps = max_steps
-        self._steps = 0
+        self._steps = 0     # per-lane statements the last run was charged
         self._slicing = slice_phases(kernel)
         self.unsupported_reasons = unsupported_reasons(kernel, self._slicing)
 
-    # -- public API ----------------------------------------------------------
-
-    def run(self, config: LaunchConfig, arrays: Dict[str, np.ndarray],
+    def run(self, config: LaunchConfig, arrays: Dict[str, ndarray],
             scalars: Optional[Dict[str, object]] = None) -> None:
         """Execute the kernel; ``arrays`` are mutated in place."""
         if self.unsupported_reasons:
             raise UnsupportedKernelError(self._kernel.name,
                                          self.unsupported_reasons)
-        scalars = dict(scalars or {})
-        gx, gy = config.grid
-        bx, by = config.block
-        n = config.total_threads
-        self._n = n
-        self._steps = 0
-
-        # Lane id vectors: lane order is (bidy, bidx, tidy, tidx), the same
-        # nesting order the lockstep interpreter spawns threads in.
-        lane = np.arange(n, dtype=np.int64)
-        tidx = lane % bx
-        tidy = (lane // bx) % by
-        bidx = (lane // (bx * by)) % gx
-        bidy = lane // (bx * by * gx)
-        self._block_of = bidy * gx + bidx       # shared-memory lead index
-        self._n_blocks = gx * gy
-        self._lane = lane                        # local-array lead index
-
-        env: Dict[str, LaneValue] = {}
-        for p in self._kernel.scalar_params():
-            if p.name not in scalars:
-                raise KeyError(f"missing scalar argument {p.name!r}")
-            value = scalars[p.name]
-            dtype = np.int64 if p.type.name == "int" else np.float64
-            env[p.name] = np.full(n, value, dtype=dtype)
-        ids = {"tidx": tidx, "tidy": tidy, "bidx": bidx, "bidy": bidy,
-               "idx": bidx * bx + tidx, "idy": bidy * by + tidy,
-               "bdimx": np.full(n, bx, np.int64),
-               "bdimy": np.full(n, by, np.int64),
-               "gdimx": np.full(n, gx, np.int64),
-               "gdimy": np.full(n, gy, np.int64)}
-        env.update(ids)
-        self._env = env
-
-        self._global: Dict[str, _SpaceView] = {}
-        for p in self._kernel.array_params():
-            if p.name not in arrays:
-                raise KeyError(f"missing array argument {p.name!r}")
-            self._global[p.name] = _SpaceView("global", arrays[p.name],
-                                              None, p.type.lanes)
-        self._shared: Dict[str, _SpaceView] = {}
-        self._local: Dict[str, _SpaceView] = {}
-
-        mask = np.ones(n, dtype=bool)
+        lowering = _Lowering(self._kernel, config, arrays,
+                             dict(scalars or {}), self._max_steps,
+                             self._profile)
         body = self._kernel.body
         if body and isinstance(body[-1], ReturnStmt):
             body = body[:-1]    # the one supported form: end of kernel
-        self._exec_stmts(body, mask)
-
-    # -- statements -----------------------------------------------------------
-
-    def _exec_stmts(self, stmts: Sequence[Stmt], mask: np.ndarray) -> None:
-        for stmt in stmts:
-            self._exec_stmt(stmt, mask)
-
-    def _count_step(self, mask: np.ndarray) -> None:
-        # Count per-lane statements and loop back-edges so runaway loops
-        # trip the same cap as the scalar core's per-thread accounting.
-        self._steps += np.count_nonzero(mask)
-        if self._steps > self._max_steps:
-            raise KernelRuntimeError(
-                f"kernel exceeded {self._max_steps} simulated statements")
-
-    def _exec_stmt(self, stmt: Stmt, mask: np.ndarray) -> None:
-        self._count_step(mask)
-        if isinstance(stmt, DeclStmt):
-            self._exec_decl(stmt, mask)
-        elif isinstance(stmt, AssignStmt):
-            self._exec_assign(stmt, mask)
-        elif isinstance(stmt, ExprStmt):
-            self._eval(stmt.expr, mask)
-        elif isinstance(stmt, SyncStmt):
-            self._exec_sync(stmt, mask)
-        elif isinstance(stmt, IfStmt):
-            cond = self._truthy(self._eval(stmt.cond, mask))
-            if self._profile is not None:
-                self._profile.branch_lanes(stmt, mask, cond)
-            then_mask = mask & cond
-            else_mask = mask & ~cond
-            if then_mask.any():
-                self._exec_stmts(stmt.then_body, then_mask)
-            if else_mask.any():
-                self._exec_stmts(stmt.else_body, else_mask)
-        elif isinstance(stmt, ForStmt):
-            if stmt.init is not None:
-                self._exec_stmt(stmt.init, mask)
-            live = mask
-            while True:
-                if stmt.cond is not None:
-                    live = live & self._truthy(self._eval(stmt.cond, live))
-                if not live.any():
-                    break
-                self._exec_stmts(stmt.body, live)
-                if stmt.update is not None:
-                    self._exec_stmt(stmt.update, live)
-                self._count_step(live)
-        elif isinstance(stmt, WhileStmt):
-            live = mask
-            while True:
-                live = live & self._truthy(self._eval(stmt.cond, live))
-                if not live.any():
-                    break
-                self._exec_stmts(stmt.body, live)
-                self._count_step(live)
-        elif isinstance(stmt, Block):
-            self._exec_stmts(stmt.body, mask)
-        else:
-            raise KernelRuntimeError(f"cannot execute {type(stmt).__name__}")
-
-    def _exec_sync(self, stmt: SyncStmt, mask: np.ndarray) -> None:
-        """Check barrier convergence; data is already visible (no-op)."""
-        if self._profile is not None:
-            self._profile.sync_lanes(mask)
-        if mask.all():
-            return
-        if stmt.scope == "global":
-            raise BarrierError(
-                f"{int((~mask).sum())} thread(s) missed a __global_sync "
-                f"other threads reached")
-        # Block scope: every block must arrive all-or-none.
-        arrived = np.zeros(self._n_blocks, dtype=np.int64)
-        np.add.at(arrived, self._block_of[mask], 1)
-        per_block = self._n // self._n_blocks
-        partial = np.nonzero((arrived != 0) & (arrived != per_block))[0]
-        if partial.size:
-            b = int(partial[0])
-            raise BarrierError(
-                f"block {b}: threads diverged at a barrier "
-                f"({int(arrived[b])}/{per_block} arrived)")
-
-    def _exec_decl(self, stmt: DeclStmt, mask: np.ndarray) -> None:
-        if stmt.is_array:
-            dims = []
-            for d in stmt.dims:
-                if isinstance(d, int):
-                    dims.append(d)
-                else:
-                    dims.append(int(self._uniform(self._env[d], mask,
-                                                  f"extent {d!r}")))
-            lanes = stmt.type.lanes
-            dtype = np.int32 if stmt.type.name == "int" else np.float32
-            if stmt.shared:
-                # One allocation per block, zeroed once (the lockstep
-                # interpreter allocates on first execution and reuses).
-                if stmt.name not in self._shared:
-                    shape = (self._n_blocks,) + tuple(dims) \
-                        + ((lanes,) if lanes > 1 else ())
-                    self._shared[stmt.name] = _SpaceView(
-                        "shared", np.zeros(shape, dtype), self._block_of,
-                        lanes)
-            else:
-                shape = (self._n,) + tuple(dims) \
-                    + ((lanes,) if lanes > 1 else ())
-                dtype = np.int32 if stmt.type.name == "int" else np.float32
-                view = self._local.get(stmt.name)
-                if view is None or view.array.shape != shape:
-                    view = _SpaceView("local", np.zeros(shape, dtype),
-                                      self._lane, lanes)
-                    self._local[stmt.name] = view
-                else:
-                    # Re-executed declaration (e.g. inside a loop body)
-                    # re-zeroes the active lanes' copies.
-                    view.array[mask] = 0
-            return
-        if stmt.init is not None:
-            value = self._eval(stmt.init, mask)
-        elif stmt.type.name in ("float2", "float4"):
-            value = _LaneVec(np.zeros((self._n, stmt.type.lanes)))
-        else:
-            value = np.zeros(self._n)
-        value = self._cast_scalar(value, stmt.type.name)
-        self._bind(stmt.name, value, mask)
-
-    def _uniform(self, value: LaneValue, mask: np.ndarray,
-                 what: str) -> int:
-        """A per-lane value that must agree across the active lanes."""
-        if isinstance(value, _LaneVec):
-            raise KernelRuntimeError(f"vector value used as {what}")
-        active = value[mask]
-        if active.size == 0:
-            return 0
-        first = active[0]
-        if (active != first).any():
-            raise KernelRuntimeError(
-                f"{what} differs between threads of the launch")
-        return int(first)
-
-    def _cast_scalar(self, value: LaneValue, type_name: str) -> LaneValue:
-        if type_name == "int":
-            return self._as_int(value)
-        if type_name == "float":
-            return self._as_float(value)
-        if isinstance(value, _LaneVec):
-            return value
-        raise KernelRuntimeError(
-            f"cannot initialize {type_name} from a scalar lane value")
-
-    def _bind(self, name: str, value: LaneValue, mask: np.ndarray) -> None:
-        """(Re)bind ``name`` for the active lanes, keeping others' values."""
-        old = self._env.get(name)
-        if isinstance(value, _LaneVec):
-            if isinstance(old, _LaneVec) and old.lanes == value.lanes:
-                old.data[mask] = value.data[mask]
-            else:
-                self._env[name] = value.copy() if mask.all() \
-                    else _LaneVec(np.where(mask[:, None], value.data, 0.0))
-            return
-        value = self._full(value)
-        if mask.all():
-            self._env[name] = value.copy()
-            return
-        if isinstance(old, np.ndarray) and not isinstance(old, _LaneVec):
-            if old.dtype == value.dtype:
-                old[mask] = value[mask]
-            else:
-                # A guarded assignment changed the value's type for the
-                # active lanes only; keep the inactive lanes' old values,
-                # promoted to float (numerically exact for int64 < 2**53).
-                self._env[name] = np.where(mask, self._as_float(value),
-                                           self._as_float(old))
-        else:
-            self._env[name] = np.where(mask, value, value.dtype.type(0))
-
-    def _exec_assign(self, stmt: AssignStmt, mask: np.ndarray) -> None:
-        value = self._eval(stmt.value, mask)
-        if stmt.op != "=":
-            current = self._eval(stmt.target, mask)
-            op = stmt.op[0]
-            if op == "+":
-                value = self._add(current, value)
-            elif op == "-":
-                value = self._sub(current, value)
-            elif op == "*":
-                value = self._mul(current, value)
-            elif op == "/":
-                value = self._c_div(current, value, mask)
-        self._store(stmt.target, value, mask)
-
-    # -- lvalues --------------------------------------------------------------
-
-    def _store(self, target: Expr, value: LaneValue,
-               mask: np.ndarray) -> None:
-        if isinstance(target, Ident):
-            if target.name not in self._env:
-                raise KernelRuntimeError(
-                    f"store to undeclared variable {target.name!r}")
-            old = self._env[target.name]
-            if isinstance(old, np.ndarray) \
-                    and old.dtype.kind == "i" \
-                    and not isinstance(value, _LaneVec):
-                value = self._as_int(value)
-            self._bind(target.name, value, mask)
-            return
-        if isinstance(target, ArrayRef):
-            view, indices = self._resolve(target, mask)
-            self._emit_profile(view, target, indices, mask, True)
-            self._scatter(view, indices, value, mask, target.name)
-            return
-        if isinstance(target, Member):
-            base = target.base
-            lane = "xyzw".index(target.member)
-            if isinstance(base, Ident):
-                vec = self._env.get(base.name)
-                if not isinstance(vec, _LaneVec):
-                    raise KernelRuntimeError(
-                        f"member store to non-vector {base.name!r}")
-                vec.data[mask, lane] = self._as_float(value)[mask]
-                return
-            if isinstance(base, ArrayRef):
-                view, indices = self._resolve(base, mask)
-                self._emit_profile(view, base, indices, mask, True)
-                if view.lanes <= lane:
-                    raise KernelRuntimeError(
-                        f"member store .{target.member} to {view.lanes}-lane "
-                        f"array {base.name!r}")
-                full = indices + (np.full(self._n, lane, np.int64),)
-                sel = tuple(ix[mask] for ix in full)
-                if view.lead is not None:
-                    sel = (view.lead[mask],) + sel
-                view.array[sel] = self._as_float(value)[mask]
-                return
-        raise KernelRuntimeError(f"invalid store target {target!r}")
-
-    def _resolve(self, ref: ArrayRef,
-                 mask: np.ndarray) -> Tuple[_SpaceView, Tuple[np.ndarray, ...]]:
-        name = ref.base.name
-        view = self._local.get(name) or self._shared.get(name) \
-            or self._global.get(name)
-        if view is None:
-            raise KernelRuntimeError(f"reference to unknown array {name!r}")
-        dims = view.dims()
-        if len(ref.indices) != len(dims):
-            raise IndexError(
-                f"{view.space} array {name!r} has rank {len(dims)}, "
-                f"got {len(ref.indices)} indices")
-        indices = []
-        for i, (expr, ext) in enumerate(zip(ref.indices, dims)):
-            ix = self._as_int(self._eval(expr, mask))
-            active = ix[mask]
-            bad = (active < 0) | (active >= ext)
-            if bad.any():
-                first = int(active[np.argmax(bad)])
-                raise IndexError(
-                    f"{view.space} array {name!r} index {first} out of "
-                    f"range [0, {ext}) in dimension {i}")
-            # Clamp the inactive lanes so the full-width gather is safe.
-            indices.append(np.where(mask, ix, 0) if not mask.all() else ix)
-        return view, tuple(indices)
-
-    def _emit_profile(self, view: _SpaceView, ref: ArrayRef,
-                      indices: Tuple[np.ndarray, ...],
-                      mask: np.ndarray, is_store: bool) -> None:
-        """Feed one masked access to the profiler (global/shared only).
-
-        Addresses are row-major linear *element* indices over the array's
-        logical dims, matching the lockstep memory stores'
-        ``linear_address`` so cross-backend counters agree exactly.
-        """
-        if self._profile is None or view.space not in ("global", "shared"):
-            return
-        addr = np.zeros(self._n, np.int64)
-        for ix, ext in zip(indices, view.dims()):
-            addr = addr * ext + ix
-        self._profile.access_lanes(view.space, ref.base.name, addr, mask,
-                                   is_store, ref)
-
-    def _gather(self, view: _SpaceView, indices: Tuple[np.ndarray, ...],
-                mask: np.ndarray) -> LaneValue:
-        sel: Tuple[np.ndarray, ...] = indices
-        if view.lead is not None:
-            sel = (view.lead,) + sel
-        data = view.array[sel]
-        if view.lanes > 1:
-            return _LaneVec(data.astype(np.float64))
-        return data.astype(np.int64 if view.array.dtype.kind == "i"
-                           else np.float64)
-
-    def _scatter(self, view: _SpaceView, indices: Tuple[np.ndarray, ...],
-                 value: LaneValue, mask: np.ndarray, name: str) -> None:
-        if view.lanes > 1:
-            if not isinstance(value, _LaneVec) \
-                    or value.lanes != view.lanes:
-                got = (f"float{value.lanes}" if isinstance(value, _LaneVec)
-                       else "scalar")
-                raise TypeError(
-                    f"cannot store {got} into {view.lanes}-lane "
-                    f"array {name!r}")
-            payload = value.data[mask]
-        else:
-            if isinstance(value, _LaneVec):
-                raise TypeError(
-                    f"cannot store float{value.lanes} into 1-lane "
-                    f"array {name!r}")
-            payload = self._full(value)[mask]
-        sel = tuple(ix[mask] for ix in indices)
-        if view.lead is not None:
-            sel = (view.lead[mask],) + sel
-        view.array[sel] = payload
-
-    # -- expressions ----------------------------------------------------------
-
-    def _full(self, value) -> np.ndarray:
-        """Broadcast a python scalar to a lane vector (vectors pass through)."""
-        if isinstance(value, np.ndarray):
-            return value
-        dtype = np.int64 if isinstance(value, (int, np.integer)) \
-            else np.float64
-        return np.full(self._n, value, dtype)
-
-    def _as_int(self, value) -> np.ndarray:
-        value = self._full(value)
-        if value.dtype.kind == "i":
-            return value
-        return np.trunc(value).astype(np.int64)  # C cast: toward zero
-
-    def _as_float(self, value) -> np.ndarray:
-        value = self._full(value)
-        if value.dtype.kind == "f":
-            return value
-        return value.astype(np.float64)
-
-    @staticmethod
-    def _truthy(value: LaneValue) -> np.ndarray:
-        if isinstance(value, _LaneVec):
-            raise KernelRuntimeError("vector value used as a condition")
-        return value != 0
-
-    def _eval(self, expr: Expr, mask: np.ndarray) -> LaneValue:
-        if isinstance(expr, IntLit):
-            return np.full(self._n, expr.value, np.int64)
-        if isinstance(expr, FloatLit):
-            return np.full(self._n, expr.value, np.float64)
-        if isinstance(expr, Ident):
-            try:
-                return self._env[expr.name]
-            except KeyError:
-                raise KernelRuntimeError(
-                    f"use of undefined variable {expr.name!r}") from None
-        if isinstance(expr, ArrayRef):
-            view, indices = self._resolve(expr, mask)
-            self._emit_profile(view, expr, indices, mask, False)
-            return self._gather(view, indices, mask)
-        if isinstance(expr, Member):
-            base = self._eval(expr.base, mask)
-            if isinstance(base, _LaneVec):
-                if "xyzw".index(expr.member) >= base.lanes:
-                    raise KernelRuntimeError(
-                        f"member .{expr.member} of float{base.lanes} value")
-                return base.member(expr.member)
-            raise KernelRuntimeError(
-                f"member .{expr.member} of non-vector value")
-        if isinstance(expr, Unary):
-            val = self._eval(expr.operand, mask)
-            if isinstance(val, _LaneVec):
-                raise KernelRuntimeError(
-                    f"unary {expr.op!r} of a vector value")
-            if expr.op == "-":
-                return -val
-            if expr.op == "+":
-                return val
-            if expr.op == "!":
-                return np.where(val != 0, 0, 1).astype(np.int64)
-        if isinstance(expr, Binary):
-            return self._eval_binary(expr, mask)
-        if isinstance(expr, Ternary):
-            cond = self._truthy(self._eval(expr.cond, mask))
-            return self._masked_select(expr.then, expr.otherwise,
-                                       mask & cond, mask & ~cond)
-        if isinstance(expr, Call):
-            return self._eval_call(expr, mask)
-        raise KernelRuntimeError(f"cannot evaluate {type(expr).__name__}")
-
-    def _masked_select(self, then: Expr, otherwise: Expr,
-                       then_mask: np.ndarray,
-                       else_mask: np.ndarray) -> LaneValue:
-        """Per-lane ``?:`` that only evaluates each arm where it is taken."""
-        tv = self._eval(then, then_mask) if then_mask.any() else None
-        ev = self._eval(otherwise, else_mask) if else_mask.any() else None
-        if tv is None and ev is None:
-            return np.zeros(self._n, np.int64)
-        if isinstance(tv, _LaneVec) or isinstance(ev, _LaneVec):
-            if tv is None or ev is None:
-                return tv if ev is None else ev
-            if not (isinstance(tv, _LaneVec) and isinstance(ev, _LaneVec)
-                    and tv.lanes == ev.lanes):
-                raise KernelRuntimeError(
-                    "ternary arms mix vector and scalar values")
-            return _LaneVec(np.where(then_mask[:, None], tv.data, ev.data))
-        if tv is None:
-            return ev
-        if ev is None:
-            return tv
-        tv, ev = self._full(tv), self._full(ev)
-        if tv.dtype.kind == "f" or ev.dtype.kind == "f":
-            tv, ev = self._as_float(tv), self._as_float(ev)
-        return np.where(then_mask, tv, ev)
-
-    def _add(self, a, b):
-        return a + b
-
-    def _sub(self, a, b):
-        return a - b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _c_div(self, a: np.ndarray, b: np.ndarray,
-               mask: np.ndarray) -> np.ndarray:
-        a, b = self._full(a), self._full(b)
-        if a.dtype.kind == "i" and b.dtype.kind == "i":
-            if (b[mask] == 0).any():
-                raise ZeroDivisionError("integer division by zero in kernel")
-            safe = np.where(b == 0, 1, b)
-            q = np.floor_divide(a, safe)
-            # C semantics: truncate toward zero, not toward -inf.
-            rem = a - q * safe
-            fix = (rem != 0) & ((a < 0) != (safe < 0))
-            return q + fix
-        if (self._as_float(b)[mask] == 0.0).any():
-            raise ZeroDivisionError("float division by zero")
-        fb = self._as_float(b)
-        return self._as_float(a) / np.where(fb == 0.0, 1.0, fb)
-
-    def _c_mod(self, a: np.ndarray, b: np.ndarray,
-               mask: np.ndarray) -> np.ndarray:
-        a, b = self._full(a), self._full(b)
-        if a.dtype.kind != "i" or b.dtype.kind != "i":
-            raise TypeError("'%' requires integer operands in the kernel "
-                            "language")
-        if (b[mask] == 0).any():
-            raise ZeroDivisionError("integer modulo by zero in kernel")
-        return a - self._c_div(a, b, mask) * b
-
-    def _eval_binary(self, expr: Binary, mask: np.ndarray) -> LaneValue:
-        op = expr.op
-        if op in ("&&", "||"):
-            left = self._truthy(self._eval(expr.left, mask))
-            # Per-lane short circuit: the right side only evaluates on
-            # lanes the left side did not already decide.
-            need = mask & (left if op == "&&" else ~left)
-            if need.any():
-                right = self._truthy(self._eval(expr.right, need))
-            else:
-                right = np.zeros(self._n, dtype=bool)
-            if op == "&&":
-                out = left & np.where(need, right, False)
-            else:
-                out = left | np.where(need, right, False)
-            return out.astype(np.int64)
-        left = self._eval(expr.left, mask)
-        right = self._eval(expr.right, mask)
-        if isinstance(left, _LaneVec) or isinstance(right, _LaneVec):
-            raise KernelRuntimeError(
-                f"operator {op!r} is not defined on vector values")
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            return self._c_div(left, right, mask)
-        if op == "%":
-            return self._c_mod(left, right, mask)
-        if op in ("<", ">", "<=", ">=", "==", "!="):
-            fn = {"<": np.less, ">": np.greater, "<=": np.less_equal,
-                  ">=": np.greater_equal, "==": np.equal,
-                  "!=": np.not_equal}[op]
-            return fn(left, right).astype(np.int64)
-        li, ri = self._as_int(left), self._as_int(right)
-        if op == "&":
-            return li & ri
-        if op == "|":
-            return li | ri
-        if op == "^":
-            return li ^ ri
-        if op == "<<":
-            return li << ri
-        if op == ">>":
-            return li >> ri
-        raise KernelRuntimeError(f"unknown operator {op!r}")
-
-    # -- builtin calls ---------------------------------------------------------
-
-    def _eval_call(self, expr: Call, mask: np.ndarray) -> LaneValue:
-        args = [self._eval(a, mask) for a in expr.args]
-        if expr.name in ("make_float2", "make_float4"):
-            lanes = 2 if expr.name == "make_float2" else 4
-            if len(args) != lanes:
-                raise KernelRuntimeError(
-                    f"{expr.name} takes {lanes} arguments, got {len(args)}")
-            cols = [self._as_float(a) for a in args]
-            return _LaneVec(np.stack(cols, axis=1))
-        if expr.name not in BUILTIN_FUNCTIONS:
-            raise KernelRuntimeError(f"unknown function {expr.name!r}")
-        return self._call_builtin(expr.name, args, mask)
-
-    def _call_builtin(self, name: str, args: List[LaneValue],
-                      mask: np.ndarray) -> np.ndarray:
-        for a in args:
-            if isinstance(a, _LaneVec):
-                raise KernelRuntimeError(
-                    f"{name}() of a vector value")
-        args = [self._full(a) for a in args]
-        if name in ("min", "fminf"):
-            return self._min_max(args, np.minimum)
-        if name in ("max", "fmaxf"):
-            return self._min_max(args, np.maximum)
-        if name in ("fabsf", "abs"):
-            return np.abs(args[0])
-        if name == "sqrtf":
-            x = self._as_float(args[0])
-            if (x[mask] < 0).any():
-                raise ValueError("math domain error")
-            return np.sqrt(np.where(mask, x, 0.0))
-        if name == "rsqrtf":
-            x = self._as_float(args[0])
-            if (x[mask] < 0).any():
-                raise ValueError("math domain error")
-            root = np.sqrt(np.where(mask, x, 1.0))
-            if (root[mask] == 0.0).any():
-                raise ZeroDivisionError("float division by zero")
-            return 1.0 / np.where(root == 0.0, 1.0, root)
-        if name == "floorf":
-            # math.floor returns a python int, so lanes become integers.
-            return np.floor(self._as_float(args[0])).astype(np.int64)
-        if name == "int":
-            return self._as_int(args[0])
-        if name == "float":
-            return self._as_float(args[0])
-        if name in ("sinf", "cosf", "expf", "logf"):
-            return self._libm_lanes(name, args[0], mask)
-        raise KernelRuntimeError(f"unknown function {name!r}")
-
-    @staticmethod
-    def _min_max(args: List[np.ndarray], fn) -> np.ndarray:
-        out = args[0]
-        for a in args[1:]:
-            out = fn(out, a)
-        return out
-
-    def _libm_lanes(self, name: str, arg: np.ndarray,
-                    mask: np.ndarray) -> np.ndarray:
-        """Transcendentals via ``math.*`` per active lane.
-
-        The lockstep interpreter calls libm on python floats; NumPy's
-        vectorized versions can differ in the last ulp, which would break
-        the bit-exact cross-backend contract.  These are rare in kernels
-        (only the FFT suite uses them), so the per-lane loop is fine.
-        """
-        fn = {"sinf": math.sin, "cosf": math.cos,
-              "expf": math.exp, "logf": math.log}[name]
-        x = self._as_float(arg)
-        out = np.zeros(self._n, np.float64)
-        active = np.nonzero(mask)[0]
-        vals = x[active]
-        out[active] = [fn(float(v)) for v in vals]
-        return out
+        try:
+            lowering.body(body)(None)
+        finally:
+            self._steps = lowering.steps

@@ -51,6 +51,8 @@ TP_STAGE_PINS = {
 
 #: Naive-launch global transactions per corpus case (both backends).
 CORPUS_PINS = {
+    "regress_cast_guarded_store": 128,
+    "regress_cast_plain_store": 128,
     "regress_fz_colwalk_0_40": 50,
     "regress_fz_rowbcast_0_36": 432,
     "seed_broadcast": 130,

@@ -4,6 +4,11 @@
   int,float} x {positive, negative, zero-divisor} operands gives the
   hand-written C result (or the same error class) on lockstep,
   scheduled and vectorized, and from ``concrete.eval_int`` for ints;
+* the same table on the vectorized backend with each operand either
+  uniform (one Python scalar for the launch) or varying (a lane array):
+  the scalar table, NumPy and the mix of the two must agree with C;
+* a store casts to the *declared* type of the variable, not to the type
+  of the value it happens to hold;
 * ``return`` anywhere but the end of the kernel body is a diagnosed
   refusal by the checker and by all three backends, never a silent
   fall-through;
@@ -154,6 +159,98 @@ def test_unary_operator_matches_c(op, type_name):
         _check(kernel, {"a": (type_name, a)}, out, want, f"{op}{a!r}")
         if type_name == "int":
             assert eval_int(Unary(op, IntLit(a)), {}) == want
+
+
+# ---------------------------------------------------------------------------
+# The vectorized backend: uniform and varying operands
+# ---------------------------------------------------------------------------
+
+TWO_THREADS = LaunchConfig(grid=(1, 1), block=(2, 1))
+
+#: ``a[idx]`` is a lane array (idx varies); ``a[0]`` is read through an
+#: all-uniform subscript and stays one Python scalar for the launch.
+OPERAND = {"lane": "{0}[idx]", "uniform": "{0}[0]"}
+
+
+@pytest.mark.parametrize("shape", ["uniform,uniform", "uniform,lane",
+                                   "lane,uniform", "lane,lane"])
+@pytest.mark.parametrize("kinds", sorted(OPERANDS))
+@pytest.mark.parametrize("op", sorted(C_INT))
+def test_binary_operator_matches_c_whatever_varies(op, kinds, shape):
+    ta, tb, pairs, table = OPERANDS[kinds]
+    left, right = shape.split(",")
+    out = "int" if kinds == "int,int" or op not in "+-*/" else "float"
+    kernel = parse_kernel(
+        f"__global__ void k({ta} a[n], {tb} b[n], {out} c[n], int n) "
+        f"{{ c[idx] = {OPERAND[left].format('a')} {op} "
+        f"{OPERAND[right].format('b')}; }}")
+    for (a, b), want in zip(pairs, table[op]):
+        if want is SKIP:
+            continue
+        arrays = {"a": np.full(2, a, dtype=_dtype(ta)),
+                  "b": np.full(2, b, dtype=_dtype(tb)),
+                  "c": np.zeros(2, dtype=_dtype(out))}
+        run = lambda: run_kernel(kernel, TWO_THREADS, arrays, {"n": 2},
+                                 backend="vectorized")
+        if isinstance(want, type):
+            with pytest.raises(want):
+                run()
+        else:
+            run()
+            assert list(arrays["c"]) == [want, want], \
+                f"{a!r} {op} {b!r} with {shape} operands"
+
+
+@pytest.mark.parametrize("shape", sorted(OPERAND))
+@pytest.mark.parametrize("type_name", sorted(UNARY_OPERANDS))
+@pytest.mark.parametrize("op", sorted(UNARY_INT))
+def test_unary_operator_matches_c_whatever_varies(op, type_name, shape):
+    values, table = UNARY_OPERANDS[type_name]
+    out = "int" if op == "!" else type_name
+    kernel = parse_kernel(
+        f"__global__ void k({type_name} a[n], {out} c[n], int n) "
+        f"{{ c[idx] = {op}{OPERAND[shape].format('a')}; }}")
+    for a, want in zip(values, table[op]):
+        arrays = {"a": np.full(2, a, dtype=_dtype(type_name)),
+                  "c": np.zeros(2, dtype=_dtype(out))}
+        run_kernel(kernel, TWO_THREADS, arrays, {"n": 2},
+                   backend="vectorized")
+        assert list(arrays["c"]) == [want, want], f"{op}{a!r} ({shape})"
+
+
+# ---------------------------------------------------------------------------
+# A store casts to the declared type
+# ---------------------------------------------------------------------------
+
+EIGHT = LaunchConfig(grid=(1, 1), block=(8, 1))
+
+#: (declared type, stores in order, expression read back, C's value)
+DECLARED_CASTS = [
+    ("float", "s = 3;", "s / 2", 1.5),
+    ("float", "if (tidx < 4) { s = 3; }", "s / 2", None),   # per lane
+    ("float", "s = 7; s = s / 2;", "s", 3.5),
+    ("int", "s = 2.75;", "s", 2.0),
+    ("int", "s = 0 - 2.75;", "s", -2.0),                    # toward zero
+    ("int", "s = 7; s /= 2.0;", "s", 3.0),
+    ("int", "if (tidx < 4) { s = 2.75; }", "s * 2", None),
+]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("declared,stores,read,want", DECLARED_CASTS)
+def test_store_casts_to_the_declared_type(declared, stores, read, want,
+                                          backend):
+    kernel = parse_kernel(
+        f"__global__ void k(float c[n], int n) "
+        f"{{ {declared} s = 0; {stores} c[idx] = {read}; }}")
+    c = np.zeros(8, dtype=np.float32)
+    run_kernel(kernel, EIGHT, {"c": c}, {"n": 8}, backend=backend)
+    if want is None:    # the guarded store reached lanes 0..3 only
+        taken = 1.5 if declared == "float" else 4.0
+        want = [taken] * 4 + [0.0] * 4
+    else:
+        want = [want] * 8
+    assert list(c) == want
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,184 @@ class TestMaskedControlFlow:
         assert list(lk["c"]) == [1.0, -1.0, 2.0, -1.0, -1.0, -1.0, -1.0, -1.0]
 
 
+class TestUniformValues:
+    """Values equal on every lane stay Python scalars until a store under
+    a narrower mask makes them lanes; both must read like lockstep."""
+
+    EIGHT = LaunchConfig(grid=(1, 1), block=(8, 1))
+
+    def _agree(self, src, arrays, scalars=None, config=None):
+        lk, vk = run_both(src, config or self.EIGHT, arrays, scalars)
+        assert_bit_identical(lk, vk)
+        return lk
+
+    def test_ragged_loop_iterator_becomes_lanes(self):
+        src = """
+        __global__ void f(float c[8], float d[8]) {
+            int i = 0;
+            float sum = 0;
+            for (i = 0; i < tidx + 1; i++)
+                sum += float(i * i);
+            c[idx] = sum;
+            d[idx] = float(i);
+        }
+        """
+        out = self._agree(src, {"c": np.zeros(8, np.float32),
+                                "d": np.zeros(8, np.float32)})
+        assert list(out["d"]) == [float(t + 1) for t in range(8)]
+        assert out["c"][3] == 0.0 + 1.0 + 4.0 + 9.0
+
+    def test_uniform_variable_assigned_under_divergent_if(self):
+        src = """
+        __global__ void f(float c[8], int n) {
+            int k = n;
+            if (tidx % 2)
+                k = k * 2 + 1;
+            c[idx] = float(k) / 2;
+        }
+        """
+        out = self._agree(src, {"c": np.zeros(8, np.float32)}, {"n": 3})
+        assert list(out["c"]) == [1.5, 3.5] * 4
+
+    def test_variable_declared_inside_divergent_region(self):
+        src = """
+        __global__ void f(float c[8], int n) {
+            c[idx] = 0.0f - 1.0f;
+            if (tidx < 3) {
+                int t = n + 1;
+                for (int i = 0; i < t; i++)
+                    t = t - 1;
+                c[idx] = float(t);
+            }
+        }
+        """
+        out = self._agree(src, {"c": np.zeros(8, np.float32)}, {"n": 5})
+        assert list(out["c"]) == [3.0] * 3 + [-1.0] * 5
+
+    def test_varying_value_through_uniform_subscript_last_lane_wins(self):
+        src = """
+        __global__ void f(float c[8], float d[2][4]) {
+            c[0] = float(tidx);
+            if (tidx < 5)
+                c[1] = float(tidx * 10);
+            d[1][2] = float(idx + 100);
+        }
+        """
+        out = self._agree(src, {"c": np.zeros(8, np.float32),
+                                "d": np.zeros((2, 4), np.float32)})
+        assert out["c"][0] == 7.0 and out["c"][1] == 40.0
+        assert out["d"][1][2] == 107.0
+
+    def test_loop_bound_read_through_uniform_subscript(self):
+        src = """
+        __global__ void f(float c[8], int bounds[2]) {
+            float sum = 0;
+            for (int i = 0; i < bounds[1]; i++)
+                sum += float(i + tidx);
+            c[idx] = sum;
+        }
+        """
+        out = self._agree(src, {"c": np.zeros(8, np.float32),
+                                "bounds": np.array([9, 4], np.int32)})
+        assert list(out["c"]) == [6.0 + 4 * t for t in range(8)]
+
+    @pytest.mark.parametrize("expr,want", [
+        ("n != 0 && 12 / n > 1", 0.0),
+        ("n == 0 || 12 / n > 1", 1.0),
+        ("n != 0 ? 12 / n : 7", 7.0),
+        ("n != 0 && a[n + 99] > 0.0f", 0.0),
+        ("n == 0 || a[n + 99] > 0.0f", 1.0),
+        ("n == 0 ? 7 : a[n + 99]", 7.0),
+        ("tidx < 4 && (n != 0 && 12 / n > 1)", 0.0),
+    ])
+    def test_uniform_short_circuit_guards_faults(self, expr, want):
+        src = f"""
+        __global__ void f(float a[8], float c[8], int n) {{
+            c[idx] = float({expr});
+        }}
+        """
+        out = self._agree(src, {"a": np.ones(8, np.float32),
+                                "c": np.full(8, -1, np.float32)}, {"n": 0})
+        assert list(out["c"]) == [want] * 8
+
+    def test_unguarded_uniform_faults_are_still_faults(self):
+        for expr, error in (("12 / n", ZeroDivisionError),
+                            ("12 % n", ZeroDivisionError),
+                            ("a[n + 99]", IndexError)):
+            src = f"""
+            __global__ void f(float a[8], float c[8], int n) {{
+                c[idx] = float({expr});
+            }}
+            """
+            messages = []
+            for backend in ("lockstep", "vectorized"):
+                with pytest.raises(error) as caught:
+                    run_kernel(parse_kernel(src), self.EIGHT,
+                               {"a": np.ones(8, np.float32),
+                                "c": np.zeros(8, np.float32)}, {"n": 0},
+                               backend=backend)
+                messages.append(str(caught.value))
+            assert messages[0] == messages[1]
+
+    def test_one_row_launch_keeps_idy_uniform_and_exact(self):
+        """A thread id whose extent is 1 is the uniform 0."""
+        src = """
+        __global__ void f(float a[1][16], float c[1][16]) {
+            c[idy][idx] = a[idy][15 - idx] + float(bidy * 100 + tidy);
+        }
+        """
+        a = np.arange(16, dtype=np.float32).reshape(1, 16)
+        out = self._agree(src, {"a": a, "c": np.zeros((1, 16), np.float32)},
+                          config=LaunchConfig(grid=(2, 1), block=(8, 1)))
+        assert list(out["c"][0]) == list(a[0][::-1])
+
+    def test_uniform_branch_profiles_like_lockstep(self):
+        from repro.obs.profile import ProfileCollector
+        src = """
+        __global__ void f(float a[32], float c[32], int n) {
+            if (n > 3) {
+                if (tidx % 4 == 0)
+                    c[idx] = a[idx];
+            } else {
+                c[idx] = 0.0f;
+            }
+            for (int i = 0; i < n; i++) {
+                if (i % 2 == 0)
+                    c[idx] += 1.0f;
+            }
+        }
+        """
+        kernel = parse_kernel(src)
+        config = LaunchConfig(grid=(2, 1), block=(16, 1))
+        profiles = {}
+        for backend in ("lockstep", "vectorized"):
+            collector = ProfileCollector(kernel, config)
+            used = run_kernel(kernel, config,
+                              {"a": np.ones(32, np.float32),
+                               "c": np.zeros(32, np.float32)}, {"n": 5},
+                              backend=backend, profile=collector)
+            profiles[backend] = collector.finalize(used)
+        lock, vec = profiles["lockstep"], profiles["vectorized"]
+        assert lock.first_mismatch(vec) is None
+        assert (lock.branch_evals, lock.branch_taken,
+                lock.divergent_branches) == \
+            (vec.branch_evals, vec.branch_taken, vec.divergent_branches)
+        assert lock.branch_evals == 32 * (2 + 5)
+        assert lock.divergent_branches == 2    # the tidx % 4 guard only
+
+    def test_step_budget_counts_every_lane_under_the_full_mask(self):
+        src = """
+        __global__ void f(float c[8], int n) {
+            for (int i = 0; i < n; i++)
+                c[idx] += 1.0f;
+        }
+        """
+        interp = VectorizedInterpreter(parse_kernel(src))
+        interp.run(self.EIGHT, {"c": np.zeros(8, np.float32)}, {"n": 3})
+        # for + init, then (body + update + back-edge) x 3, on 8 lanes.
+        assert interp._steps == 8 * (2 + 3 * 3)
+
+
 class TestSharedMemory:
     def test_block_reverse_through_shared(self):
         src = """
