@@ -28,9 +28,6 @@ Usage::
     python -m repro trace-view TRACE_ID [--traces DIR] [--list] \
         [--no-durations] [--json]
 
-    python -m repro bench-check [--records PATH ...] [--quick] \
-        [--tolerance F] [--history PATH] [--json]
-
 The first form prints the optimized kernel, the launch configuration, the
 compiler's decision log, and the analytic performance estimate; with
 ``--verify`` the static analyses (races / divergence / bounds / banks) run
@@ -49,10 +46,7 @@ on an artifact store offline, evicting least-recently-used entries (the
 daemon runs the same sweep opportunistically after writes); the
 ``trace-view`` form renders one service
 request's merged span tree from the collected per-actor trace files
-(see :mod:`repro.obs.traceview`); the ``bench-check`` form gates the
-committed ``BENCH_*.json`` records against freshly measured runs and
-appends the trajectory to ``results/bench_history.jsonl`` (see
-:mod:`repro.bench.gate`).
+(see :mod:`repro.obs.traceview`).
 
 All subcommands share one convention: exit code 0 = clean, 1 = findings
 (lint errors / fuzz divergences / profile drift / compile failure), 2 =
@@ -169,9 +163,6 @@ def _run(argv=None) -> int:
     if argv and argv[0] == "trace-view":
         from repro.obs.traceview import trace_view_main
         return trace_view_main(argv[1:])
-    if argv and argv[0] == "bench-check":
-        from repro.bench.gate import bench_check_main
-        return bench_check_main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",

@@ -6,9 +6,9 @@ deletion is sound: which rule fired, the static evidence (abstract
 values, phase comparison, injectivity witness counts), and the launch
 geometry the facts were computed under.  Proofs ride into the
 compilation trace as ``proof`` events, so ``repro trace`` shows each
-elimination alongside the ordinary pass decisions, and into
-``BENCH_dataflow.json`` so the benchmark records not just *that*
-something was deleted but *on what grounds*.
+elimination alongside the ordinary pass decisions, and into the
+reduction's compile log as ``cleanup:`` lines, so a record of *what*
+was deleted always carries *on what grounds*.
 """
 
 from __future__ import annotations

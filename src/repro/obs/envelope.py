@@ -1,9 +1,10 @@
 """The one JSON envelope convention shared by every repro tool.
 
 Every machine-readable artifact this repo emits — ``lint --json``,
-``fuzz --json``, ``profile --json``, the committed backend benchmark
-record, and the compilation trace header — is a single JSON object whose
-first key is a versioned ``schema`` tag of the form ``repro.<tool>/<N>``.
+``fuzz --json``, ``profile --json``, the compile service's payloads and
+metric snapshots, and the compilation trace header — is a single JSON
+object whose first key is a versioned ``schema`` tag of the form
+``repro.<tool>/<N>``.
 Consumers dispatch on the tag and reject objects they do not understand;
 producers bump ``<N>`` on breaking changes.
 
@@ -22,15 +23,11 @@ from typing import Dict, Iterable, Optional
 KNOWN_SCHEMAS = (
     "repro.lint/1",
     "repro.fuzz/1",
-    "repro.bench-backend/1",
-    "repro.bench-dataflow/1",
     "repro.trace/1",
     "repro.profile/1",
     "repro.resilience/1",
     "repro.serve/1",
-    "repro.bench-serve/1",
     "repro.metrics/1",
-    "repro.bench-history/1",
 )
 
 _SCHEMA_RE = re.compile(r"^repro\.[a-z][a-z0-9-]*/[0-9]+$")

@@ -27,8 +27,8 @@ from repro.serve.client import ClientReply, ServeClient, ServeUnavailable
 from repro.serve.daemon import CompileService, OverloadedError, serve_main
 from repro.serve.pool import (PoolSaturated, TaskCancelled, TaskTimeout,
                               WorkerDied, WorkerPool)
-from repro.serve.store import (ArtifactStore, GcReport, StoreStats,
-                               cache_key, serve_gc_main)
+from repro.serve.store import (ArtifactStore, GcReport, cache_key,
+                               serve_gc_main)
 
 __all__ = [
     "ArtifactStore",
@@ -39,7 +39,6 @@ __all__ = [
     "PoolSaturated",
     "ServeClient",
     "ServeUnavailable",
-    "StoreStats",
     "TaskCancelled",
     "TaskTimeout",
     "WorkerDied",

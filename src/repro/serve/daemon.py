@@ -148,9 +148,10 @@ def parse_request(request: Dict[str, Any],
                            f"available: {sorted(MACHINES)}")
     mach = machine(machine_name)
 
-    opts_in = dict(request.get("options") or {})
-    if not isinstance(request.get("options") or {}, dict):
+    opts_raw = request.get("options") or {}
+    if not isinstance(opts_raw, dict):
         raise RequestError("'options' must be an object")
+    opts_in = dict(opts_raw)
     faults_spec = opts_in.pop("faults", None)
     known = {f.name for f in dataclasses.fields(CompileOptions)}
     unknown = sorted(set(opts_in) - known)
@@ -811,9 +812,18 @@ class _Handler(BaseHTTPRequestHandler):
         client_tid = self.headers.get(TRACE_HEADER)
         trace_id = (client_tid if valid_trace_id(client_tid)
                     else mint_trace_id())
+        length = self.headers.get("Content-Length") or "0"
+        if not length.isdecimal():
+            # The body's framing is unknown (a negative length would make
+            # rfile.read block until the client hangs up): answer and
+            # close without reading it.
+            self.close_connection = True
+            self._reply(400, {"ok": False,
+                              "error": f"bad Content-Length {length!r}"},
+                        trace_id=trace_id)
+            return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            request = json.loads(self.rfile.read(length) or b"{}")
+            request = json.loads(self.rfile.read(int(length)) or b"{}")
         except (ValueError, UnicodeDecodeError) as exc:
             self._reply(400, {"ok": False,
                               "error": f"bad JSON body: {exc}"},

@@ -27,21 +27,14 @@ under any start method): ``compile`` builds the ``repro.serve/1``
 artifact payload, ``explore`` compiles one design-space candidate,
 ``fuzz`` runs one differential-fuzzer case, and ``sleep`` exists for the
 chaos tests to hold a worker hostage.
-
-When ``REPRO_COVERAGE_DIR`` is set, each worker traces its own line
-execution under ``src/repro`` and dumps the hit set to that directory on
-exit, so ``tools/approx_coverage.py`` can fold subprocess coverage into
-its floor computation.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import multiprocessing
 import os
 import queue
-import sys
 import threading
 import time
 import traceback
@@ -49,10 +42,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.propagate import TraceContext, record_task_trace
-
-#: Environment variable naming a directory for per-worker line-coverage
-#: dumps (consumed by ``tools/approx_coverage.py``).
-COVERAGE_ENV = "REPRO_COVERAGE_DIR"
 
 _STOP = object()
 
@@ -201,37 +190,7 @@ HANDLERS: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
     "sleep": _handle_sleep,
 }
 
-_SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-_cov_hits: Dict[str, set] = {}
-
-
-def _cov_local(frame, event, arg):
-    if event == "line":
-        _cov_hits[frame.f_code.co_filename].add(frame.f_lineno)
-    return _cov_local
-
-
-def _cov_global(frame, event, arg):
-    if event == "call":
-        fn = frame.f_code.co_filename
-        if fn.startswith(_SRC_ROOT):
-            _cov_hits.setdefault(fn, set())
-            return _cov_local
-    return None
-
-
-def _cov_dump(cov_dir: str) -> None:
-    path = os.path.join(cov_dir, f"worker-{os.getpid()}-{id(_cov_hits)}.json")
-    try:
-        with open(path, "w") as f:
-            json.dump({fn: sorted(lines) for fn, lines in _cov_hits.items()},
-                      f)
-    except OSError:
-        pass
-
-
-def _worker_main(conn, cov_dir: Optional[str]) -> None:
+def _worker_main(conn) -> None:
     """The worker process loop: recv (kind, payload), send (status, out).
 
     When the payload carries a ``_trace`` context (injected by the
@@ -239,9 +198,6 @@ def _worker_main(conn, cov_dir: Optional[str]) -> None:
     span file — stamped with the request's trace id and this attempt
     number — into the shared trace directory before replying.
     """
-    if cov_dir:
-        sys.settrace(_cov_global)
-        threading.settrace(_cov_global)
     try:
         while True:
             try:
@@ -275,9 +231,6 @@ def _worker_main(conn, cov_dir: Optional[str]) -> None:
                                       time.perf_counter() - t0)
                 conn.send(("error", err))
     finally:
-        if cov_dir:
-            sys.settrace(None)
-            _cov_dump(cov_dir)
         try:
             conn.close()
         except OSError:
@@ -463,8 +416,7 @@ class WorkerPool:
     def _spawn(self, slot: _Slot) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, os.environ.get(COVERAGE_ENV)),
+            target=_worker_main, args=(child_conn,),
             name=f"repro-serve-worker-{slot.index}", daemon=True)
         proc.start()
         child_conn.close()

@@ -38,7 +38,8 @@ fault is absorbed into a ``store.write-failed`` event and the caller
 simply serves the compile uncached (compile-through); a read fault is a
 miss; an evict fault leaves the entry for the next sweep.  Real
 ``OSError`` from the filesystem takes the identical paths, so the
-injected matrix proves the real degradation behavior.
+injected matrix proves the real degradation behavior; either way the
+absorbed fault counts in ``repro_store_io_faults_total{site}``.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import repro
 from repro.compiler import CompileOptions
 from repro.machine import GpuSpec
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience.faults import DISK_FAULT_KINDS, FaultPlan
 
 #: Bump when the entry layout or the key derivation changes: old stores
@@ -117,29 +119,6 @@ def _payload_checksum(payload_text: str) -> str:
 
 
 @dataclasses.dataclass
-class StoreStats:
-    """Lifetime counters of one :class:`ArtifactStore` instance."""
-
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    corrupt: int = 0
-    #: Entries evicted by quota GC (LRU sweeps), not corruption.
-    quota_evictions: int = 0
-    #: Completed :meth:`ArtifactStore.gc` sweeps.
-    gc_runs: int = 0
-    #: Writes absorbed by a disk fault (entry not persisted).
-    write_failures: int = 0
-    #: Reads absorbed by a disk fault (served as a miss).
-    read_faults: int = 0
-    #: Evictions that failed (entry left for the next sweep).
-    evict_failures: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        return dataclasses.asdict(self)
-
-
-@dataclasses.dataclass
 class GcReport:
     """One :meth:`ArtifactStore.gc` sweep's outcome."""
 
@@ -159,11 +138,12 @@ class GcReport:
 class ArtifactStore:
     """Content-addressed on-disk artifact store (see module docstring).
 
-    Not thread-safe by itself for the *counters*; the service serializes
-    access.  The on-disk format is multi-process safe: writers only ever
-    ``os.replace`` complete files, and two writers racing on the same
-    key write byte-identical content (the key is the content address of
-    a deterministic compile).
+    Every counter lives in :attr:`metrics`, a thread-safe
+    :class:`~repro.obs.metrics.MetricsRegistry` — the store's own until
+    a service binds it to the shared one.  The on-disk format is
+    multi-process safe: writers only ever ``os.replace`` complete files,
+    and two writers racing on the same key write byte-identical content
+    (the key is the content address of a deterministic compile).
     """
 
     def __init__(self, root: Union[str, os.PathLike],
@@ -176,21 +156,20 @@ class ArtifactStore:
         self.max_entries = max_entries
         #: Disk-fault plan (ambient ``REPRO_FAULTS`` when not given).
         self.faults = faults if faults is not None else FaultPlan.from_env()
-        self.stats = StoreStats()
         #: ``cache.corrupt`` (and future) event records, oldest first.
         self.events: List[Dict[str, object]] = []
-        self._m_hits = self._m_misses = None
-        self._m_writes = self._m_corrupt = None
-        self._m_quota_evictions = self._m_gc_runs = None
-        self._m_gc_reclaimed = self._m_io_faults = None
+        self.metrics: Optional[MetricsRegistry] = None
+        self.bind_metrics(MetricsRegistry())
 
-    def bind_metrics(self, registry) -> None:
-        """Mirror the store's counters onto a metrics registry.
+    def bind_metrics(self, registry: MetricsRegistry) -> None:
+        """Move the store's instruments onto ``registry``.
 
-        Counters are seeded from the current :class:`StoreStats` values
-        so a late bind never under-reports; entry/byte gauges are
+        Counts already recorded on the previous registry are carried
+        over, so a late bind never under-reports; entry/byte gauges are
         callbacks evaluated at snapshot time.
         """
+        previous = self.metrics
+        self.metrics = registry
         self._m_hits = registry.counter(
             "repro_store_hits_total", "Artifact store cache hits.")
         self._m_misses = registry.counter(
@@ -212,12 +191,6 @@ class ArtifactStore:
             "repro_store_io_faults_total",
             "Disk faults absorbed by the store, by I/O site.",
             labelnames=("site",))
-        self._m_hits.inc(self.stats.hits)
-        self._m_misses.inc(self.stats.misses)
-        self._m_writes.inc(self.stats.writes)
-        self._m_corrupt.inc(self.stats.corrupt)
-        self._m_quota_evictions.inc(self.stats.quota_evictions)
-        self._m_gc_runs.inc(self.stats.gc_runs)
         registry.gauge(
             "repro_store_entries", "Artifact entries currently on disk."
         ).set_function(lambda: float(len(self)))
@@ -229,6 +202,17 @@ class ArtifactStore:
             "repro_store_over_quota",
             "1 when the store exceeds a configured quota, else 0."
         ).set_function(lambda: 1.0 if self.over_quota() else 0.0)
+        if previous is None:
+            return
+        with registry.hold():
+            for name, family in previous.snapshot().items():
+                if (family["type"] != "counter"
+                        or not name.startswith("repro_store_")):
+                    continue
+                counter = registry.counter(name, family["help"],
+                                           family["labelnames"])
+                for series in family["series"]:
+                    counter.labels(**series["labels"]).inc(series["value"])
 
     # -- fault injection ---------------------------------------------------
 
@@ -237,8 +221,6 @@ class ArtifactStore:
         returns the fault kind or ``None``."""
         for kind in DISK_FAULT_KINDS:
             if self.faults.trip(kind, site):
-                if self._m_io_faults:
-                    self._m_io_faults.labels(site=site).inc()
                 return kind
         return None
 
@@ -284,9 +266,8 @@ class ArtifactStore:
         path = self.path_for(key, kind)
         fault = self._trip_disk("store-read")
         if fault is not None:
-            self.stats.read_faults += 1
-            self.stats.misses += 1
-            if self._m_misses:
+            with self.metrics.hold():
+                self._m_io_faults.labels(site="store-read").inc()
                 self._m_misses.inc()
             self.events.append({"event": "store.read-failed", "key": key,
                                 "kind": kind, "fault": fault})
@@ -295,9 +276,7 @@ class ArtifactStore:
             with open(path, "r", encoding="utf-8") as f:
                 wrapper = json.load(f)
         except FileNotFoundError:
-            self.stats.misses += 1
-            if self._m_misses:
-                self._m_misses.inc()
+            self._m_misses.inc()
             return None
         except (OSError, ValueError, UnicodeDecodeError) as exc:
             self._evict_corrupt(key, kind, path,
@@ -322,9 +301,7 @@ class ArtifactStore:
         if reason is not None:
             self._evict_corrupt(key, kind, path, reason)
             return None
-        self.stats.hits += 1
-        if self._m_hits:
-            self._m_hits.inc()
+        self._m_hits.inc()
         try:
             # Bump the entry's file times so LRU GC sees real *use*
             # recency even on noatime/relatime mounts.
@@ -339,11 +316,8 @@ class ArtifactStore:
             os.unlink(path)
         except OSError:
             pass
-        self.stats.corrupt += 1
-        self.stats.misses += 1
-        if self._m_corrupt:
+        with self.metrics.hold():
             self._m_corrupt.inc()
-        if self._m_misses:
             self._m_misses.inc()
         self.events.append({"event": "cache.corrupt", "key": key,
                             "kind": kind, "reason": reason})
@@ -376,6 +350,7 @@ class ArtifactStore:
         }
         wrapper_text = json.dumps(wrapper, sort_keys=True)
         if fault == "torn":
+            self._m_io_faults.labels(site="store-write").inc()
             wrapper_text = wrapper_text[:len(wrapper_text) // 2]
         try:
             if fault in ("enospc", "eio"):
@@ -394,13 +369,11 @@ class ArtifactStore:
                     pass
                 raise
         except OSError as exc:
-            self.stats.write_failures += 1
+            self._m_io_faults.labels(site="store-write").inc()
             self.events.append({"event": "store.write-failed", "key": key,
                                 "kind": kind, "reason": str(exc)})
             return None
-        self.stats.writes += 1
-        if self._m_writes:
-            self._m_writes.inc()
+        self._m_writes.inc()
         return path
 
     def delete(self, key: str, kind: str = "compile") -> bool:
@@ -476,7 +449,7 @@ class ArtifactStore:
                 continue
             except OSError as exc:
                 report.failed += 1
-                self.stats.evict_failures += 1
+                self._m_io_faults.labels(site="store-evict").inc()
                 self.events.append({"event": "store.evict-failed",
                                     "key": entry["key"],
                                     "kind": entry["kind"],
@@ -487,17 +460,13 @@ class ArtifactStore:
             report.evicted += 1
             report.reclaimed_bytes += entry["bytes"]
             report.evicted_keys.append(entry["key"])
-            self.stats.quota_evictions += 1
-            if self._m_quota_evictions:
-                self._m_quota_evictions.inc()
+            self._m_quota_evictions.inc()
             self.events.append({"event": "store.evicted",
                                 "key": entry["key"],
                                 "kind": entry["kind"],
                                 "bytes": entry["bytes"]})
-        self.stats.gc_runs += 1
-        if self._m_gc_runs:
+        with self.metrics.hold():
             self._m_gc_runs.inc()
-        if self._m_gc_reclaimed:
             self._m_gc_reclaimed.inc(report.reclaimed_bytes)
         report.remaining_entries = live
         report.remaining_bytes = live_bytes

@@ -12,10 +12,11 @@ semantics on the kernels each supports — two drivers over the scalar core
     :class:`repro.sim.vectorized.VectorizedInterpreter` — all threads of
     the launch evaluated at once, one NumPy lane per thread.  How much
     faster than lockstep depends on how many threads a launch batches:
-    about 17x on the Table-1 kernels at a few hundred threads (ledger
-    row ``sim.vectorized_over_lockstep``), 50x and up from a few
-    thousand (``BENCH_backend.json``).  Statically refuses conditional
-    barriers and thread-dependent barrier loops.
+    about 15x on the Table-1 kernels at a few hundred threads (ledger
+    row ``sim.vectorized_over_lockstep``), and the gap keeps growing
+    with the launch width (compare the two backends' ``threads_per_s``
+    rows).  Statically refuses conditional barriers and
+    thread-dependent barrier loops.
 ``scheduled``
     :class:`repro.sim.scheduled.ScheduledInterpreter` — warps run as
     coroutines yielding at sequence points under a pluggable scheduler

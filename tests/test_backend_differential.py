@@ -2,7 +2,9 @@
 
 Every corpus case (seed, regression, and fuzzer-found reproducers) is
 executed on both simulator backends at every cumulative pipeline stage,
-plus the uncompiled naive reference launch.  The contract is strict:
+plus the uncompiled naive reference launch; so are the fully optimized
+mm, tp and rd suite kernels at their test scales.  The contract is
+strict:
 
 * bit-identical output buffers — not "close", identical;
 * identical error classification — if one backend raises, the other
@@ -13,20 +15,26 @@ plus the uncompiled naive reference launch.  The contract is strict:
   compiler only produces unconditional barriers in uniform loops, and
   this suite is what pins that.
 
-Inputs are the oracle's deterministic integer-valued arrays, so float
-arithmetic is exact and bitwise comparison is sound.
+Corpus inputs are the oracle's deterministic integer-valued arrays, so
+float arithmetic is exact and bitwise comparison is sound; the suite
+kernels run on random floats, where both backends must still round
+identically.
 """
 
 import functools
 import os
 
+import numpy as np
 import pytest
 
-from repro.compiler import compile_stages
+from repro.compiler import compile_kernel, compile_stages
 from repro.fuzz.corpus import load_corpus
 from repro.fuzz.oracle import STAGE_NAMES, make_arrays, reference_config
+from repro.kernels.suite import ALGORITHMS
 from repro.lang.parser import parse_kernel
+from repro.machine import GTX280
 from repro.passes.base import PassError
+from repro.reduction import compile_reduction
 from repro.sim.backend import run_kernel
 from repro.sim.vectorized import UnsupportedKernelError
 
@@ -108,3 +116,24 @@ def test_stage_bit_identical(case, stage):
     arrays = make_arrays(kernel, case)
     lk, vk = _run_both(lambda work, b: ck.run(work, backend=b), arrays)
     _assert_agree(lk, vk, f"{case.name}/{stage}")
+
+
+@pytest.mark.parametrize("name", ["mm", "tp", "rd"])
+def test_optimized_suite_kernel_bit_identical(name):
+    """The fully optimized suite kernel agrees across backends on the
+    suite's own random float inputs (rd: both fission launches)."""
+    algo = ALGORITHMS[name]
+    sizes = algo.sizes(algo.test_scale)
+    arrays = algo.make_arrays(np.random.default_rng(0xBE7C), sizes)
+    if algo.uses_global_sync:
+        program = compile_reduction(algo.source, sizes["n"], GTX280)
+
+        def run_fn(work, backend):
+            work["sum"] = np.float32(program.run(work["a"], backend=backend))
+    else:
+        ck = compile_kernel(algo.source, sizes, algo.domain(sizes), GTX280)
+
+        def run_fn(work, backend):
+            ck.run(work, backend=backend)
+    lk, vk = _run_both(run_fn, arrays)
+    _assert_agree(lk, vk, f"{name}/optimized")

@@ -8,6 +8,7 @@ on both simulator backends with cleanup on or off.
 """
 
 import numpy as np
+import pytest
 
 from repro.analysis.dataflow import (
     RULE_BARRIER_PRIVATE,
@@ -123,6 +124,17 @@ class TestPipelineIntegration:
                 for key in off:
                     np.testing.assert_array_equal(
                         off[key], on[key], err_msg=f"{name}:{backend}:{key}")
+        # rd at the smallest size whose stage-1 guard cleanup deletes.
+        from repro.kernels.naive import RD
+        n = 1 << 13
+        data = np.random.default_rng(7).random(n, dtype=np.float32)
+        off, on = (compile_reduction(RD, n, GTX280, cleanup=enabled)
+                   for enabled in (False, True))
+        assert "pos < n" not in on.stage1_source
+        for backend in ("lockstep", "vectorized"):
+            assert (np.float32(off.run(data.copy(), backend=backend))
+                    == np.float32(on.run(data.copy(), backend=backend))), \
+                f"rd:{backend}"
 
     def test_cleanup_can_be_disabled(self):
         algo = ALGORITHMS["mm"]
@@ -131,6 +143,50 @@ class TestPipelineIntegration:
                             CompileOptions(enable_cleanup=False))
         assert all(e.pass_name != "cleanup" or e.kind != "proof"
                    for e in ck.trace.events)
+
+
+#: Exact cleanup counts per kernel and scale: (guards removed, barriers
+#: removed) from the trace / proof log, then vectorized-profile
+#: (branch_evals, barriers) with cleanup off and on.  mm and tp are
+#: honest zeros; rd at a power of two loses its stage-1 guard, one
+#: branch per element.
+CLEANUP_COUNTS = [
+    ("mm", 64, (0, 0), (21504, 2048), (21504, 2048)),
+    ("tp", 256, (0, 0), (0, 65536), (0, 65536)),
+    ("rd", 1 << 15, (1, 0), (44288, 11520), (11520, 11520)),
+]
+
+
+def _cleanup_counts(name, scale, enabled):
+    """(removed, (branch_evals, barriers)) for one compile of ``name``."""
+    algo = ALGORITHMS[name]
+    sizes = algo.sizes(scale)
+    arrays = algo.make_arrays(np.random.default_rng(0xDF10), sizes)
+    if algo.uses_global_sync:
+        cr = compile_reduction(algo.source, scale, GTX280, cleanup=enabled)
+        proofs = [line for line in cr.log if line.startswith("cleanup:")]
+        removed = (sum("guard" in p for p in proofs),
+                   sum("barrier" in p for p in proofs))
+        collected = []
+        cr.run(arrays["a"], backend="vectorized", profile=collected)
+        profiles = [p for _, p in collected]
+    else:
+        ck = compile_kernel(algo.source, sizes, algo.domain(sizes), GTX280,
+                            CompileOptions(enable_cleanup=enabled))
+        ends = [e.counters for e in ck.trace.events
+                if e.kind == "span_end" and e.counters]
+        removed = tuple(sum(int(c.get(key, 0)) for c in ends)
+                        for key in ("guards_removed", "barriers_removed"))
+        profiles = [ck.profile(arrays, backend="vectorized")]
+    return removed, (sum(p.branch_evals for p in profiles),
+                     sum(p.barriers for p in profiles))
+
+
+@pytest.mark.parametrize("name,scale,removed,off,on", CLEANUP_COUNTS,
+                         ids=[row[0] for row in CLEANUP_COUNTS])
+def test_cleanup_counts_exact(name, scale, removed, off, on):
+    assert _cleanup_counts(name, scale, False) == ((0, 0), off)
+    assert _cleanup_counts(name, scale, True) == (removed, on)
 
 
 class TestReductionGuardElimination:

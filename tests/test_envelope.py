@@ -85,11 +85,11 @@ class TestRegistry:
             assert schema_name(tag)
 
     def test_helpers(self):
-        assert schema_name("repro.bench-backend/1") == "bench-backend"
+        assert schema_name("repro.resilience/1") == "resilience"
         assert schema_version("repro.trace/1") == 1
 
     def test_all_cli_envelopes_registered(self):
         # The three pre-existing ad-hoc envelopes plus the two new ones.
-        for tag in ("repro.lint/1", "repro.fuzz/1", "repro.bench-backend/1",
+        for tag in ("repro.lint/1", "repro.fuzz/1", "repro.serve/1",
                     "repro.trace/1", "repro.profile/1"):
             assert tag in KNOWN_SCHEMAS

@@ -153,7 +153,9 @@ class TestScriptedSequence:
         assert counters["errors"] == 1
         assert counters["compiles"] == 3
         assert counters == dict(svc.counters,
-                                corrupt_evictions=svc.store.stats.corrupt)
+                                corrupt_evictions=svc.metrics.counter(
+                                    "repro_store_corrupt_evictions_total"
+                                ).value)
 
     def test_bad_request_metrics(self, tmp_path):
         svc = _service(tmp_path)

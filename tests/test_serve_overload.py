@@ -289,7 +289,8 @@ class TestStoreQuotaGc:
             body1 = json.dumps(first["result"], sort_keys=True)
             svc.handle_compile(MV_REQUEST)       # put + GC evicts TP
             assert len(svc.store) == 1
-            assert svc.store.stats.quota_evictions == 1
+            assert svc.metrics.counter(
+                "repro_store_quota_evictions_total").value == 1
             again, s3 = svc.handle_compile(TP_REQUEST)
             assert (s1, s3) == ("miss", "miss")  # eviction = clean miss
             # The recompile is deterministic: same source, launch config,
@@ -356,7 +357,9 @@ class TestDiskFaults:
             first, s1 = svc.handle_compile(TP_REQUEST)
             assert s1 == "miss" and first["ok"] is True
             assert len(store) == 0               # write absorbed
-            assert store.stats.write_failures == 1
+            assert store.metrics.counter(
+                "repro_store_io_faults_total", labelnames=("site",)
+            ).labels(site="store-write").value == 1
             assert any(e["event"] == "store.write-failed"
                        for e in store.events)
             # The fault was one-shot: the next request recompiles and
@@ -375,8 +378,11 @@ class TestDiskFaults:
                               faults=FaultPlan.parse("eio:store-read"))
         store.put("c" * 64, {"v": 3})
         assert store.get("c" * 64) is None       # transient miss
-        assert store.stats.read_faults == 1
-        assert store.stats.corrupt == 0          # NOT evicted
+        assert store.metrics.counter(
+            "repro_store_io_faults_total", labelnames=("site",)
+        ).labels(site="store-read").value == 1
+        assert store.metrics.counter(            # NOT evicted
+            "repro_store_corrupt_evictions_total").value == 0
         assert store.get("c" * 64) == {"v": 3}   # still there
 
     def test_torn_write_caught_by_checksum(self, tmp_path):
@@ -384,7 +390,8 @@ class TestDiskFaults:
                               faults=FaultPlan.parse("torn:store-write"))
         assert store.put("d" * 64, {"v": 4}) is not None
         assert store.get("d" * 64) is None
-        assert store.stats.corrupt == 1
+        assert store.metrics.counter(
+            "repro_store_corrupt_evictions_total").value == 1
         assert any(e["event"] == "cache.corrupt" for e in store.events)
         assert len(store) == 0
 

@@ -13,7 +13,11 @@ The load-bearing invariants:
   workers always drain.
 """
 
+import errno
 import json
+import os
+import socket
+import tempfile
 import threading
 import urllib.error
 import urllib.request
@@ -84,6 +88,17 @@ class TestParseRequest:
         with pytest.raises(RequestError):
             parse_request(bad)
 
+    @pytest.mark.parametrize("options", ["ab", 5, [1, 2]])
+    def test_non_object_options_are_bad_requests(self, tmp_path, options):
+        svc = _service(tmp_path)
+        try:
+            with pytest.raises(RequestError, match="'options'"):
+                svc.handle_compile(dict(TP_REQUEST, options=options))
+        finally:
+            svc.close()
+        assert svc.counters["requests"] == 1
+        assert svc.counters["bad_requests"] == 1
+
 
 class TestServiceCore:
     def test_miss_then_hit_bit_identical(self, tmp_path):
@@ -150,6 +165,33 @@ class TestServiceCore:
         assert stats["store"]["entries"] == 1
         assert stats["workers"] == 0
         assert stats["queue_depth"] == 0
+
+    def test_counts_before_bind_survive_it(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        store.get("a" * 64)
+        store.put("a" * 64, {"v": 1})
+        store.get("a" * 64)
+        svc = CompileService(store, pool=WorkerPool(0))
+        try:
+            assert store.metrics is svc.metrics
+            store.get("a" * 64)
+            stats = svc.stats()["store"]
+        finally:
+            svc.close()
+        assert (stats["hits"], stats["misses"], stats["writes"]) == (2, 1, 1)
+
+    def test_real_write_error_counts_as_io_fault(self, tmp_path,
+                                                 monkeypatch):
+        store = ArtifactStore(tmp_path / "store")
+
+        def disk_full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(tempfile, "mkstemp", disk_full)
+        assert store.put("b" * 64, {"v": 1}) is None
+        assert store.metrics.counter(
+            "repro_store_io_faults_total", labelnames=("site",)
+        ).labels(site="store-write").value == 1
 
 
 class TestConcurrencyStress:
@@ -300,6 +342,21 @@ class TestHttpEndToEnd:
         assert status == 400
         assert b"bad JSON body" in body
 
+    def test_negative_content_length_is_400(self, http_server):
+        # A negative length must not make the handler read to EOF: the
+        # client keeps its socket open and still gets an answer in time.
+        host, port = http_server[0][len("http://"):].split(":")
+        with socket.create_connection((host, int(port)), timeout=1) as sock:
+            sock.sendall(b"POST /compile HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: -1\r\n\r\n")
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                chunk = sock.recv(4096)
+                assert chunk, "connection closed without a response"
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
+
     def test_bad_request_is_400(self, http_server):
         base, _ = http_server
         status, _, body = _post(base, {"source": TP_SRC, "sizes": {},
@@ -329,6 +386,7 @@ class TestHttpEndToEnd:
         stats = json.loads(body)
         assert stats["schema"] == "repro.serve/1"
         assert stats["counters"] == dict(
-            service.counters, corrupt_evictions=service.store.stats.corrupt)
+            service.counters, corrupt_evictions=service.metrics.counter(
+                "repro_store_corrupt_evictions_total").value)
         assert stats["counters"]["requests"] >= 2
         assert stats["counters"]["hits"] >= 1

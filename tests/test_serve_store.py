@@ -52,9 +52,10 @@ class TestRoundTrip:
         # byte-for-byte equal.
         canon = json.dumps(payload, indent=2, sort_keys=True)
         assert json.dumps(loaded, indent=2, sort_keys=True) == canon
-        assert store.stats.hits == 1
-        assert store.stats.writes == 1
-        assert store.stats.corrupt == 0
+        assert store.metrics.counter("repro_store_hits_total").value == 1
+        assert store.metrics.counter("repro_store_writes_total").value == 1
+        assert store.metrics.counter(
+            "repro_store_corrupt_evictions_total").value == 0
 
     @pytest.mark.parametrize("backend", ["lockstep", "vectorized"])
     def test_round_trip_on_both_backends(self, tmp_path, backend):
@@ -72,8 +73,9 @@ class TestRoundTrip:
     def test_miss_is_not_corruption(self, tmp_path):
         store = ArtifactStore(tmp_path)
         assert store.get("0" * 64) is None
-        assert store.stats.misses == 1
-        assert store.stats.corrupt == 0
+        assert store.metrics.counter("repro_store_misses_total").value == 1
+        assert store.metrics.counter(
+            "repro_store_corrupt_evictions_total").value == 0
         assert store.events == []
 
     def test_kinds_are_independent(self, tmp_path):
@@ -103,7 +105,8 @@ class TestCorruption:
     def _assert_evicted(self, store, key, path, reason_part):
         assert store.get(key) is None
         assert not os.path.exists(path)
-        assert store.stats.corrupt == 1
+        assert store.metrics.counter(
+            "repro_store_corrupt_evictions_total").value == 1
         [event] = store.events
         assert event["event"] == "cache.corrupt"
         assert event["key"] == key

@@ -8,6 +8,12 @@ third-party frames near zero) and compares against the executable
 lines reported by each module's code objects, which is the same
 universe coverage.py starts from.
 
+Code that only runs inside ``repro.serve.pool`` worker processes is
+counted too: before pytest starts, the pool's worker entry point is
+wrapped so each worker traces itself and dumps its hits on exit.  The
+pool forks its workers and looks the entry point up at spawn time, so
+the wrapper reaches every worker without any hook in the pool itself.
+
 Usage::
 
     PYTHONPATH=src python tools/approx_coverage.py [pytest args...]
@@ -15,8 +21,10 @@ Usage::
 
 from __future__ import annotations
 
+import json
 import os
 import sys
+import tempfile
 import threading
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__),
@@ -57,38 +65,50 @@ def executable_lines(path: str) -> set:
     return lines
 
 
-def _merge_worker_dumps(cov_dir: str) -> None:
-    """Fold per-worker line dumps (repro.serve.pool workers write one
-    JSON each on exit) into the parent's hit sets, so code that only
-    runs inside pool subprocesses still counts toward the floor."""
-    import json
-    for name in os.listdir(cov_dir):
-        if not name.endswith(".json"):
-            continue
+def _trace_pool_workers(dump_dir: str) -> None:
+    """Wrap ``repro.serve.pool._worker_main`` so every forked worker
+    traces its own lines and writes them to ``dump_dir`` on exit."""
+    from repro.serve import pool
+
+    worker_main = pool._worker_main
+
+    def traced_worker_main(conn) -> None:
+        sys.settrace(_global_trace)
         try:
-            with open(os.path.join(cov_dir, name)) as f:
+            worker_main(conn)
+        finally:
+            sys.settrace(None)
+            fd, path = tempfile.mkstemp(suffix=".json", dir=dump_dir)
+            with os.fdopen(fd, "w") as f:
+                json.dump({fn: sorted(lines)
+                           for fn, lines in _hits.items()}, f)
+
+    pool._worker_main = traced_worker_main
+
+
+def _merge_worker_dumps(dump_dir: str) -> None:
+    """Fold the per-worker line dumps into the parent's hit sets."""
+    for name in os.listdir(dump_dir):
+        try:
+            with open(os.path.join(dump_dir, name)) as f:
                 dump = json.load(f)
         except (OSError, ValueError):
             continue
         for path, lines in dump.items():
-            if path.startswith(SRC):
-                _hits.setdefault(path, set()).update(lines)
+            _hits.setdefault(path, set()).update(lines)
 
 
 def main(argv) -> int:
-    import tempfile
-    # Workers of repro.serve.pool trace themselves into this directory
-    # (see COVERAGE_ENV); without it every serve/ line that only runs in
-    # a subprocess would look uncovered.
-    cov_dir = tempfile.mkdtemp(prefix="repro-cov-")
-    os.environ.setdefault("REPRO_COVERAGE_DIR", cov_dir)
+    dump_dir = tempfile.mkdtemp(prefix="repro-cov-")
     sys.settrace(_global_trace)
     threading.settrace(_global_trace)
+    # After settrace, so the pool module's import-time lines count.
+    _trace_pool_workers(dump_dir)
     import pytest
     code = pytest.main(["-q", "-p", "no:cacheprovider"] + argv)
     sys.settrace(None)
     threading.settrace(None)
-    _merge_worker_dumps(os.environ["REPRO_COVERAGE_DIR"])
+    _merge_worker_dumps(dump_dir)
     if code not in (0, None):
         print(f"warning: pytest exited {code}; coverage below reflects "
               f"a failing run", file=sys.stderr)
