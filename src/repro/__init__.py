@@ -27,8 +27,9 @@ Performance estimation and design-space search::
     est = estimate_compiled(compiled, machine("GTX8800"))
     best = explore(naive_source, sizes, domain).best
 
-The evaluation suite (Table 1), baselines, and per-figure benchmark data
-live in :mod:`repro.kernels` and :mod:`repro.bench`.
+The evaluation suite (Table 1) and baselines live in :mod:`repro.kernels`;
+the paper's figures, one entry per ``results/`` file, in
+:mod:`repro.bench.figures`.
 """
 
 from repro.compiler import (CompiledKernel, CompileOptions, compile_kernel,

@@ -1,4 +1,5 @@
-"""Benchmark harness: per-figure data producers and table rendering."""
+"""The paper's figures (:data:`repro.bench.figures.FIGURES`) and the
+plain-text tables they print."""
 
 from repro.bench.report import format_table
 

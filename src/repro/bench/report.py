@@ -1,4 +1,4 @@
-"""Plain-text table rendering for the benchmark harness."""
+"""Plain-text table rendering for the paper's figures."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ def _cell(value) -> str:
 def format_table(headers: Sequence[str],
                  rows: Iterable[Sequence[object]],
                  title: str = "") -> str:
-    """Render an aligned ASCII table (the benches print these)."""
+    """Render an aligned ASCII table (every figure prints one)."""
     str_rows: List[List[str]] = [[_cell(v) for v in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in str_rows:

@@ -29,6 +29,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.lang.astnodes import Kernel
 from repro.lang.parser import parse_kernel
 from repro.machine import GTX280, GpuSpec
 from repro.sim.backend import run_kernel
@@ -181,6 +182,25 @@ def plan_fft(n: int, radix8: bool) -> FftPlan:
     return FftPlan(n=n, steps=steps)
 
 
+def fft_launches(n: int, radix8: bool
+                 ) -> List[Tuple[Kernel, int, LaunchConfig]]:
+    """The staged FFT as ``(kernel, h, config)`` launches, one per pass.
+
+    :func:`run_fft` executes exactly these and :func:`estimate_fft`
+    prices exactly these, so the model prices what the simulator runs.
+    """
+    kernels = {"fft2": parse_kernel(FFT2_STAGE),
+               "fft8": parse_kernel(FFT8_STEP)}
+    launches = []
+    for name, h in plan_fft(n, radix8).steps:
+        threads = n // (2 if name == "fft2" else 8)
+        block = min(256, threads)
+        launches.append((kernels[name], h,
+                         LaunchConfig(grid=(max(1, threads // block), 1),
+                                      block=(block, 1))))
+    return launches
+
+
 def run_fft(data: np.ndarray, radix8: bool = False) -> np.ndarray:
     """Execute the staged FFT on the functional simulator.
 
@@ -191,35 +211,17 @@ def run_fft(data: np.ndarray, radix8: bool = False) -> np.ndarray:
     perm = bit_reverse_permutation(n)
     xr = np.ascontiguousarray(data.real[perm], dtype=np.float32)
     xi = np.ascontiguousarray(data.imag[perm], dtype=np.float32)
-    kernels = {"fft2": parse_kernel(FFT2_STAGE),
-               "fft8": parse_kernel(FFT8_STEP)}
-    plan = plan_fft(n, radix8)
-    for name, h in plan.steps:
-        radix = 2 if name == "fft2" else 8
-        threads = n // radix
-        block = min(64, threads)
-        config = LaunchConfig(grid=(max(1, threads // block), 1),
-                              block=(block, 1))
-        run_kernel(kernels[name], config, {"xr": xr, "xi": xi},
-                   {"n": n, "h": h})
+    for kernel, h, config in fft_launches(n, radix8):
+        run_kernel(kernel, config, {"xr": xr, "xi": xi}, {"n": n, "h": h})
     return xr.astype(np.complex128) + 1j * xi.astype(np.complex128)
 
 
 def estimate_fft(n: int, radix8: bool,
                  machine: GpuSpec = GTX280) -> float:
     """Predicted total time of the staged FFT (seconds)."""
-    kernels = {"fft2": parse_kernel(FFT2_STAGE),
-               "fft8": parse_kernel(FFT8_STEP)}
-    total = 0.0
-    for name, h in plan_fft(n, radix8).steps:
-        radix = 2 if name == "fft2" else 8
-        threads = n // radix
-        block = min(256, threads)
-        config = LaunchConfig(grid=(max(1, threads // block), 1),
-                              block=(block, 1))
-        est = estimate(kernels[name], {"n": n, "h": h}, config, machine)
-        total += est.time_s + machine.launch_overhead_s
-    return total
+    return sum(estimate(kernel, {"n": n, "h": h}, config, machine).time_s
+               + machine.launch_overhead_s
+               for kernel, h, config in fft_launches(n, radix8))
 
 
 def fft_gflops(n: int, time_s: float) -> float:

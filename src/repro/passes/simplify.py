@@ -147,6 +147,58 @@ def _splice(body: list) -> list:
     return list(body)
 
 
+def _written_names(stmts: list) -> set:
+    """Scalar names that ``stmts`` declare or assign, at any depth."""
+    from repro.lang.astnodes import AssignStmt, ForStmt, walk_stmts
+    names = set()
+    for s in walk_stmts(stmts):
+        for part in ([s, s.init, s.update] if isinstance(s, ForStmt)
+                     else [s]):
+            if isinstance(part, DeclStmt):
+                names.add(part.name)
+            elif isinstance(part, AssignStmt) \
+                    and isinstance(part.target, Ident):
+                names.add(part.target.name)
+    return names
+
+
+def _forward_substitute(stmts: list, non_int: set) -> list:
+    """Fold ``int x = e; S`` into ``S`` with ``e`` in place of ``x``.
+
+    Deleting a guard can leave a local whose only purpose was the test
+    (``int pos = ...; acc += a[pos];``), and the declaration is still
+    charged on every trip.  The fold applies when ``S``, the next
+    statement, holds the only remaining use of ``x``, nothing writes
+    ``x``, ``S`` writes no name ``e`` reads, and ``e`` is an integer
+    expression that touches no memory (``non_int`` names the kernel's
+    non-integer variables and parameters).
+    """
+    from repro.lang.astnodes import FloatLit, all_exprs
+    from repro.lang.visitor import substitute_in_body
+    out = list(stmts)
+    i = 0
+    while i + 1 < len(out):
+        decl, rest = out[i], out[i + 1:]
+        if (isinstance(decl, DeclStmt) and decl.type == INT
+                and not decl.is_array and not decl.shared
+                and decl.init is not None and _pure_scalar_cond(decl.init)):
+            terms = list(walk_exprs(decl.init))
+            reads = {e.name for e in terms if isinstance(e, Ident)}
+            uses = [e for e in all_exprs(rest)
+                    if isinstance(e, Ident) and e.name == decl.name]
+            if (len(uses) == 1
+                    and any(e is uses[0] for e in all_exprs(rest[:1]))
+                    and not any(isinstance(e, FloatLit) for e in terms)
+                    and not reads & (non_int | {decl.name})
+                    and decl.name not in _written_names(rest)
+                    and not reads & _written_names(rest[:1])):
+                out[i:i + 2] = substitute_in_body(rest[:1],
+                                                  {decl.name: decl.init})
+                continue
+        i += 1
+    return out
+
+
 def cleanup_kernel(kernel, sizes: Mapping[str, int],
                    block: Tuple[int, int], grid: Tuple[int, int], *,
                    max_rounds: int = _CLEANUP_MAX_ROUNDS,
@@ -168,10 +220,14 @@ def cleanup_kernel(kernel, sizes: Mapping[str, int],
         analyze_kernel,
         removable_barriers,
     )
-    from repro.lang.astnodes import IfStmt, SyncStmt, child_stmt_lists
+    from repro.lang.astnodes import (IfStmt, SyncStmt, child_stmt_lists,
+                                     walk_stmts)
     from repro.obs.trace import snippet
 
     result = CleanupResult()
+    non_int = {p.name for p in kernel.params if p.type != INT} | {
+        s.name for s in walk_stmts(kernel.body)
+        if isinstance(s, DeclStmt) and s.type != INT}
 
     def emit(proof: Proof, stmt) -> None:
         result.add(proof)
@@ -190,6 +246,7 @@ def cleanup_kernel(kernel, sizes: Mapping[str, int],
         def strip_guards(stmts: List) -> List:
             nonlocal changed
             out: List = []
+            deleted = False
             for stmt in stmts:
                 if isinstance(stmt, IfStmt) and _pure_scalar_cond(stmt.cond):
                     verdict = facts.verdict_for(stmt)
@@ -202,13 +259,13 @@ def cleanup_kernel(kernel, sizes: Mapping[str, int],
                                    subject=f"guard '{verdict.cond_text}'",
                                    evidence=verdict.evidence,
                                    block=block, grid=grid), stmt)
-                        changed = True
+                        changed = deleted = True
                         out.extend(strip_guards(_splice(kept)))
                         continue
                 for child in child_stmt_lists(stmt):
                     child[:] = strip_guards(child)
                 out.append(stmt)
-            return out
+            return _forward_substitute(out, non_int) if deleted else out
 
         kernel.body = strip_guards(kernel.body)
 

@@ -111,27 +111,19 @@ def _tree_source(block: int) -> str:
 """
 
 
-def block_reduce_source(plan: ReductionPlan, exact: bool = False) -> str:
-    """Stage-1 kernel: map + per-thread accumulate + block tree.
-
-    ``exact`` drops the bounds guards when the element count divides the
-    per-block chunk exactly (the unrolled form a tuned library ships).
-    """
+def block_reduce_source(plan: ReductionPlan) -> str:
+    """Stage-1 kernel: map + per-thread accumulate + block tree."""
     b, t = plan.block_threads, plan.thread_merge
     chunk = b * t
     if plan.load_style == "direct":
-        if exact:
-            load = f"acc += a[bidx * {chunk} + j * {b} + tidx];"
-        else:
-            load = (f"int pos = bidx * {chunk} + j * {b} + tidx;\n"
-                    f"        if (pos < n)\n"
-                    f"            acc += a[pos];")
         body = f"""
 __global__ void rd_block(float a[n], float partial[nb], int n, int nb) {{
     __shared__ float sdata[{b}];
     float acc = 0;
     for (int j = 0; j < {t}; j++) {{
-        {load}
+        int pos = bidx * {chunk} + j * {b} + tidx;
+        if (pos < n)
+            acc += a[pos];
     }}
     sdata[tidx] = acc;
     __syncthreads();
@@ -400,8 +392,9 @@ def _build_reduction(name: str, plan: ReductionPlan, n_elements: int,
                                  machine=machine, log=log)
     # Proof-carrying cleanup of stage 1 under its actual launch geometry:
     # when the element count divides the per-block chunk exactly, the
-    # dataflow engine proves the ragged bounds guard always-true and the
-    # cleanup pass deletes it (the form a tuned library ships).  Stage 2
+    # dataflow engine proves the ragged bounds guard always-true, and the
+    # cleanup pass deletes it and folds the index into the load (the form
+    # a tuned library ships).  Stage 2
     # is relaunched with shrinking n/grid, so no single geometry covers
     # it — it is never cleaned.
     if cleanup:

@@ -89,6 +89,25 @@ __global__ void k(float a[n], int n) {
         assert result.barriers_removed == 1
         assert print_kernel(kernel).count("__syncthreads") == 1
 
+    def test_local_kept_when_its_use_follows_a_write_it_reads(self):
+        # Once the guard goes, `p` has one use, but the block holding it
+        # first overwrites `i`, which `p` was computed from: folding
+        # `i + 1` into the store would read the new `i`.
+        kernel = parse_kernel("""
+__global__ void k(float a[n], int n) {
+    int i = idx;
+    int p = i + 1;
+    if (idx < n) {
+        float v = 1.0f;
+        i = 0;
+        a[p - 1] = v;
+    }
+}
+""")
+        result = cleanup_kernel(kernel, {"n": 512}, (256, 1), (2, 1))
+        assert result.guards_removed == 1
+        assert "int p = i + 1;" in print_kernel(kernel)
+
     def test_guard_with_memory_access_kept(self):
         # Conditions that touch memory are never folded: deleting them
         # would change the access counters the perf model reports.
@@ -198,6 +217,32 @@ class TestReductionGuardElimination:
         from repro.kernels.naive import RD
         cr = compile_reduction(RD, 1 << 16)
         assert "pos < n" not in cr.stage1_source
+
+    def test_exact_size_prints_the_guard_free_kernel(self):
+        # Deleting the guard must not leave `int pos = ...;` behind: the
+        # local is folded into its one load, so the cleaned stage 1 is
+        # exactly the hand-specialized kernel a tuned library ships.
+        from repro.kernels.naive import RD
+        guard_free = parse_kernel("""
+__global__ void rd_block(float a[n], float partial[nb], int n, int nb) {
+    __shared__ float sdata[256];
+    float acc = 0;
+    for (int j = 0; j < 32; j++) {
+        acc += a[bidx * 8192 + j * 256 + tidx];
+    }
+    sdata[tidx] = acc;
+    __syncthreads();
+    for (int st = 128; st > 0; st = st / 2) {
+        if (tidx < st)
+            sdata[tidx] += sdata[tidx + st];
+        __syncthreads();
+    }
+    if (tidx == 0)
+        partial[bidx] = sdata[0];
+}
+""")
+        cr = compile_reduction(RD, 1 << 22)
+        assert cr.stage1_source == print_kernel(guard_free)
 
     def test_ragged_size_keeps_stage1_guard(self):
         from repro.kernels.naive import RD

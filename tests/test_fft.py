@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.kernels import fft
 from repro.kernels.fft import (bit_reverse_permutation, estimate_fft,
                                fft_gflops, plan_fft, run_fft)
 from repro.machine import GTX280
+from repro.sim.perf import estimate
 
 
 class TestPlan:
@@ -50,6 +52,26 @@ class TestSection7Shape:
         t8 = estimate_fft(n, radix8=True, machine=GTX280)
         assert t8 < t2              # the paper's 24 -> 41 GFLOPS ordering
         assert fft_gflops(n, t8) > fft_gflops(n, t2)
+
+    @pytest.mark.parametrize("radix8", [False, True])
+    def test_run_and_estimate_walk_the_same_launches(self, radix8,
+                                                     monkeypatch):
+        ran, priced = [], []
+
+        def run(kernel, config, arrays, scalars):
+            ran.append((kernel.name, scalars["h"], config))
+
+        def price(kernel, sizes, config, machine):
+            priced.append((kernel.name, sizes["h"], config))
+            return estimate(kernel, sizes, config, machine)
+
+        monkeypatch.setattr(fft, "run_kernel", run)
+        monkeypatch.setattr(fft, "estimate", price)
+        n = 1 << 12
+        run_fft(np.zeros(n, dtype=np.complex64), radix8=radix8)
+        estimate_fft(n, radix8=radix8)
+        assert ran == priced
+        assert len(ran) == plan_fft(n, radix8).passes
 
     def test_gflops_formula(self):
         assert fft_gflops(1 << 20, 1.0) == pytest.approx(
