@@ -221,3 +221,32 @@ class TestScheduleOracle:
         resumed = run_case(MM_LIKE, OracleOptions(
             schedule_seeds=tuple(exc.pending_seeds)))
         assert resumed.ok
+
+
+def test_launches_per_corpus_case(monkeypatch):
+    # The CI smoke configuration's launch budget per case: the reference
+    # plus, per stage, the output run, the profiled run and the
+    # round-trip run on lockstep (1 + 6 * 3), and the reference plus the
+    # cross-check and the profiled run per stage on vectorized (1 + 6 * 2).
+    import os
+    from collections import Counter
+
+    from repro.fuzz.corpus import load_corpus
+    from repro.sim.interp import Interpreter
+    from repro.sim.vectorized import VectorizedInterpreter
+
+    counts = Counter()
+    for cls in (Interpreter, VectorizedInterpreter):
+        def counting(self, *args, _run=cls.run, _cls=cls, **kwargs):
+            counts[_cls.__name__] += 1
+            return _run(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "run", counting)
+    opts = OracleOptions(backend="both", check_profile=True)
+    corpus = load_corpus(os.path.join(os.path.dirname(__file__), "corpus"))
+    assert len(corpus) == 14
+    for case in corpus:
+        counts.clear()
+        result = run_case(case, opts)
+        assert result.ok, [d.render() for d in result.divergences]
+        assert (counts["Interpreter"], counts["VectorizedInterpreter"]) \
+            == (19, 13), case.name
