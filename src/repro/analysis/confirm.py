@@ -14,6 +14,10 @@ backend (:mod:`repro.sim.scheduled`) against a lockstep reference:
   witness (barrier reachable by some but not all threads);
 * any other error-family disagreement ⇒ ``'error'`` witness.
 
+Inputs, launches and the comparison are the shared differential harness
+(:mod:`repro.sim.differential`); default inputs are seeded from the
+kernel name and its size bindings.
+
 A returned :class:`ScheduleWitness` carries the (seed, scheduler) pair,
 which — because :func:`repro.sim.scheduled.make_scheduler` is fully
 deterministic — replays the exact interleaving.  ``None`` means the
@@ -34,14 +38,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.lang.astnodes import ArrayRef, AssignStmt, Kernel, walk_stmts
-from repro.sim.interp import BarrierError, LaunchConfig
-from repro.sim.scheduled import (
-    DeadlockError,
-    ScheduledInterpreter,
-    make_scheduler,
-    schedule_plan,
-)
+from repro.lang.astnodes import Kernel
+from repro.sim.differential import compare, inputs, run, schedule_sweep
+from repro.sim.interp import LaunchConfig
+from repro.sim.scheduled import DeadlockError, schedule_plan
 
 __all__ = ["ScheduleWitness", "assert_schedule_invariant", "confirm_race"]
 
@@ -65,62 +65,6 @@ class ScheduleWitness:
     def render(self) -> str:
         return (f"schedule witness ({self.scheduler!r} seed {self.seed}, "
                 f"{self.yields} yields): {self.kind}: {self.detail}")
-
-
-# ---------------------------------------------------------------------------
-# Deterministic inputs (standalone: analysis must not import repro.fuzz)
-# ---------------------------------------------------------------------------
-
-def _output_names(kernel: Kernel) -> set:
-    """Array parameters the kernel writes (assignment targets)."""
-    written = set()
-    params = {p.name for p in kernel.array_params()}
-    for stmt in walk_stmts(kernel.body):
-        if isinstance(stmt, AssignStmt) and isinstance(stmt.target, ArrayRef):
-            if stmt.target.base.name in params:
-                written.add(stmt.target.base.name)
-    return written
-
-
-def _default_arrays(kernel: Kernel,
-                    sizes: Dict[str, int]) -> Dict[str, np.ndarray]:
-    """Small integer-valued float inputs, seeded from the kernel identity
-    (same exact-representability argument as the fuzz oracle's inputs:
-    integer sums and products compare exactly, so reassociation cannot
-    mask a divergence)."""
-    text = kernel.name + "|" + repr(sorted(sizes.items()))
-    rng = np.random.default_rng(zlib.crc32(text.encode()))
-    written = _output_names(kernel)
-    arrays: Dict[str, np.ndarray] = {}
-    for p in kernel.array_params():
-        shape = p.array_type().resolved_dims(sizes)
-        dtype = np.int32 if p.type.name == "int" else np.float32
-        if p.name in written:
-            arrays[p.name] = np.zeros(shape, dtype=dtype)
-        else:
-            arrays[p.name] = rng.integers(0, 8, size=shape).astype(dtype)
-    return arrays
-
-
-def _family(exc: Optional[BaseException]) -> str:
-    if exc is None:
-        return "ok"
-    if isinstance(exc, BarrierError):
-        return "BarrierError"
-    return type(exc).__name__
-
-
-def _first_mismatch(got: Dict[str, np.ndarray],
-                    want: Dict[str, np.ndarray]) -> Optional[str]:
-    for name in sorted(want):
-        a, b = got[name], want[name]
-        if not np.array_equal(a, b):
-            bad = int(np.count_nonzero(a != b))
-            flat = np.argwhere(a != b)[0]
-            where = tuple(int(i) for i in flat)
-            return (f"array {name!r}: {bad} element(s) differ (first at "
-                    f"{where}: {a[tuple(flat)]!r} != {b[tuple(flat)]!r})")
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -148,56 +92,29 @@ def confirm_race(kernel: Kernel, sizes: Dict[str, int],
     :class:`repro.obs.trace.Tracer`) receives one ``schedule`` event per
     run, so traces show which interleavings were searched.
     """
-    from repro.sim.backend import run_kernel
-
     config = LaunchConfig(grid=tuple(grid), block=tuple(block))
-    if scalars is None:
-        scalars = {p.name: sizes[p.name] for p in kernel.scalar_params()}
+    scalars = sizes if scalars is None else scalars
     if arrays is None:
-        arrays = _default_arrays(kernel, sizes)
-
-    reference = {k: v.copy() for k, v in arrays.items()}
-    try:
-        run_kernel(kernel, config, reference, scalars, backend="lockstep")
-        ref_exc: Optional[BaseException] = None
-    except Exception as exc:
-        ref_exc = exc
-    ref_family = _family(ref_exc)
-
-    interp = ScheduledInterpreter(kernel)
-    for seed, sched_kind in schedule_plan(schedules, seeds):
-        sched = make_scheduler(sched_kind, seed)
-        work = {k: v.copy() for k, v in arrays.items()}
-        try:
-            result = interp.run(config, work, scalars, scheduler=sched)
-            sched_exc: Optional[BaseException] = None
-        except Exception as exc:
-            sched_exc = exc
-            result = sched.last_result
-        yields = result.yields if result is not None else 0
-        tail = tuple(result.trace_tail) if result is not None else ()
-
+        arrays = inputs(kernel, sizes, zlib.crc32(
+            f"{kernel.name}|{sorted(sizes.items())!r}".encode()))
+    reference = run(kernel, config, arrays, scalars, backend="lockstep")
+    plan = schedule_plan(schedules, seeds)
+    for seed, sched_kind, ev in schedule_sweep(kernel, config, arrays,
+                                               scalars, plan):
+        mismatch = compare(ev, reference)
         witness: Optional[ScheduleWitness] = None
-        family = _family(sched_exc)
-        if family != ref_family:
-            kind = "deadlock" if isinstance(sched_exc, DeadlockError) \
-                else "error"
-            witness = ScheduleWitness(
-                seed, sched_kind, kind,
-                f"lockstep {ref_family} ({ref_exc}) vs scheduled "
-                f"{family} ({sched_exc})".replace("(None)", ""),
-                yields, tail)
-        elif sched_exc is None and ref_exc is None:
-            mismatch = _first_mismatch(work, reference)
-            if mismatch:
-                witness = ScheduleWitness(seed, sched_kind, "output",
-                                          mismatch, yields, tail)
+        if mismatch:
+            kind = ("output" if ev.family == reference.family
+                    else "deadlock" if isinstance(ev.exc, DeadlockError)
+                    else "error")
+            witness = ScheduleWitness(seed, sched_kind, kind, mismatch,
+                                      ev.yields or 0, ev.trace_tail)
         if tracer is not None:
             verdict = witness.kind if witness else "agrees"
             tracer.schedule(
                 f"schedule {sched_kind!r} seed {seed}: {verdict}",
                 seed=seed, scheduler=sched_kind,
-                details={"yields": yields, "verdict": verdict,
+                details={"yields": ev.yields or 0, "verdict": verdict,
                          "kernel": kernel.name})
         if witness is not None:
             return witness

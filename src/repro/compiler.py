@@ -40,6 +40,7 @@ from repro.passes.prefetch import PrefetchPass
 from repro.passes.sharing import MergePlan, plan_merges
 from repro.passes.vectorize import VectorizePass
 from repro.sim.backend import run_kernel
+from repro.sim.differential import lanes_view
 from repro.sim.interp import LaunchConfig
 
 
@@ -171,15 +172,7 @@ class CompiledKernel:
         feed with dynamic hardware counters.  Returns the name of the
         backend that ran.
         """
-        bound = dict(arrays)
-        for p in self.kernel.array_params():
-            if p.type.lanes > 1 and p.name in bound:
-                arr = bound[p.name]
-                if arr.ndim == len(p.dims):
-                    bound[p.name] = arr.reshape(arr.shape[:-1]
-                                                + (arr.shape[-1]
-                                                   // p.type.lanes,
-                                                   p.type.lanes))
+        bound = lanes_view(self.kernel, arrays)
         merged = self.size_bindings()
         if scalars:
             merged.update(scalars)
@@ -264,6 +257,15 @@ def _naive_block(domain: Tuple[int, int],
     return (block[0], block[1])
 
 
+def naive_launch(domain: Tuple[int, int], machine: GpuSpec) -> LaunchConfig:
+    """The launch of the un-optimized kernel: :func:`_naive_block`, and
+    a grid rounded up to cover the domain (as ``ctx.grid`` rounds)."""
+    block = _naive_block(domain, machine)
+    return LaunchConfig(grid=(max(1, -(-domain[0] // block[0])),
+                              max(1, -(-domain[1] // block[1]))),
+                        block=block)
+
+
 def _compile_once(naive: Kernel, sizes: Dict[str, int],
                   domain: Tuple[int, int], machine: GpuSpec,
                   options: CompileOptions,
@@ -287,7 +289,8 @@ def _compile_once(naive: Kernel, sizes: Dict[str, int],
         validator = None
         if options.validate:
             from repro.resilience.validate import PipelineValidator
-            validator = PipelineValidator(naive, sizes, domain, machine)
+            validator = PipelineValidator(naive, sizes, domain, machine,
+                                          report=res_report)
         guard = PassGuard(ctx, report=res_report, faults=options.faults,
                           validator=validator,
                           budget_s=options.pass_budget_s,

@@ -40,6 +40,7 @@ import numpy as np
 from repro.compiler import CompiledKernel, CompileOptions, compile_kernel
 from repro.machine import GTX280, GpuSpec
 from repro.passes.base import PassError
+from repro.sim.differential import inputs
 from repro.sim.perf import PerfEstimate, estimate_compiled
 
 # Section 4.1's candidate factors.
@@ -92,24 +93,15 @@ class ExplorationResult:
                 for v in self.versions}
 
 
-def _bench_arrays(compiled: CompiledKernel) -> Dict[str, np.ndarray]:
-    """Deterministic small-integer inputs sized for one test run."""
-    rng = np.random.default_rng(0xC0FFEE)
-    sizes = compiled.size_bindings()
-    arrays: Dict[str, np.ndarray] = {}
-    for p in compiled.kernel.array_params():
-        shape = tuple(p.array_type().resolved_dims(sizes))
-        if p.type.lanes > 1:
-            shape = shape + (p.type.lanes,)
-        dtype = np.int32 if p.type.name == "int" else np.float32
-        arrays[p.name] = rng.integers(0, 8, size=shape).astype(dtype)
-    return arrays
+def _test_inputs(compiled: CompiledKernel) -> Dict[str, np.ndarray]:
+    """One test run's inputs (:func:`repro.sim.differential.inputs`)."""
+    return inputs(compiled.kernel, compiled.size_bindings(), 0xC0FFEE)
 
 
 def measure_compiled(compiled: CompiledKernel,
                      backend: Optional[str] = None) -> float:
     """Wall-clock seconds of one simulated launch (empirical search)."""
-    arrays = _bench_arrays(compiled)
+    arrays = _test_inputs(compiled)
     start = time.perf_counter()
     compiled.run(arrays, backend=backend)
     return time.perf_counter() - start
@@ -122,7 +114,7 @@ def profile_compiled(compiled: CompiledKernel,
     A separate launch from :func:`measure_compiled` so the profiling
     hooks never distort the timed run.
     """
-    return compiled.profile(_bench_arrays(compiled), backend=backend)
+    return compiled.profile(_test_inputs(compiled), backend=backend)
 
 
 def candidate_options(block_merge: int, thread_merge: int,

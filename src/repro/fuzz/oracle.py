@@ -13,12 +13,10 @@ For one :class:`~repro.fuzz.corpus.KernelCase` the oracle
    re-parse, re-check in ``optimized`` mode, and re-interpret to the
    stage's own outputs, bit for bit.
 
-Input data is derived deterministically from the case itself (a CRC of
-the source and bindings seeds numpy), so corpus replays need no stored
-arrays.  Inputs are small *integer-valued* floats: every product and sum
-the generated kernels can form is exactly representable, so float
-reassociation cannot mask a real divergence and exact comparison is
-sound.
+Inputs, launches and comparisons are the shared differential harness
+(:mod:`repro.sim.differential`, which states why exact comparison is
+sound); the oracle seeds its inputs with a CRC of the case's source,
+sizes and domain, so corpus replays need no stored arrays.
 
 A graceful :class:`~repro.passes.base.PassError` is a *rejection* (the
 compiler declined the kernel), not a divergence; any other failure —
@@ -51,23 +49,30 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis import verify_compiled
-from repro.compiler import CompileOptions, _naive_block, compile_stages
+from repro.compiler import CompileOptions, compile_stages, naive_launch
 from repro.fuzz.corpus import KernelCase
-from repro.lang.astnodes import ArrayRef, AssignStmt, Kernel, walk_stmts
+from repro.lang.astnodes import Kernel
 from repro.lang.parser import parse_kernel
 from repro.lang.printer import print_kernel
 from repro.lang.semantic import SemanticError, check_kernel
 from repro.machine import GTX280, GpuSpec
 from repro.passes.base import PassError
-from repro.sim.backend import default_backend, run_kernel
-from repro.sim.interp import BarrierError, LaunchConfig
+from repro.sim.backend import default_backend
+from repro.sim.differential import (
+    Evidence,
+    compare,
+    inputs,
+    run,
+    schedule_sweep,
+)
+from repro.sim.interp import LaunchConfig
 from repro.sim.phases import slice_phases
-from repro.sim.scheduled import make_scheduler, schedule_plan
+from repro.sim.scheduled import schedule_plan
 from repro.sim.vectorized import UnsupportedKernelError
 
 #: ``OracleOptions.backend`` values (``both`` cross-checks the backends).
@@ -197,53 +202,24 @@ class CaseResult:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic inputs
+# Deterministic inputs and the reference launch (no compiler involved)
 # ---------------------------------------------------------------------------
-
-def output_names(kernel: Kernel) -> set:
-    """Array parameters the kernel writes (assignment targets)."""
-    written = set()
-    params = {p.name for p in kernel.array_params()}
-    for stmt in walk_stmts(kernel.body):
-        if isinstance(stmt, AssignStmt) and isinstance(stmt.target, ArrayRef):
-            if stmt.target.base.name in params:
-                written.add(stmt.target.base.name)
-    return written
-
 
 def case_seed(case: KernelCase) -> int:
     """A stable 32-bit seed derived from the case's source and bindings."""
-    text = case.source + "|" + repr(sorted(case.sizes.items())) \
-        + "|" + repr(tuple(case.domain))
-    return zlib.crc32(text.encode())
+    return zlib.crc32(f"{case.source}|{sorted(case.sizes.items())!r}|"
+                      f"{tuple(case.domain)!r}".encode())
 
 
 def make_arrays(kernel: Kernel, case: KernelCase) -> Dict[str, np.ndarray]:
-    """Deterministic integer-valued inputs; outputs start at zero."""
-    rng = np.random.default_rng(case_seed(case))
-    written = output_names(kernel)
-    arrays: Dict[str, np.ndarray] = {}
-    for p in kernel.array_params():
-        shape = p.array_type().resolved_dims(case.sizes)
-        dtype = np.int32 if p.type.name == "int" else np.float32
-        if p.name in written:
-            arrays[p.name] = np.zeros(shape, dtype=dtype)
-        else:
-            arrays[p.name] = rng.integers(0, 8, size=shape).astype(dtype)
-    return arrays
+    """The case's inputs (:func:`repro.sim.differential.inputs`)."""
+    return inputs(kernel, case.sizes, case_seed(case))
 
-
-# ---------------------------------------------------------------------------
-# Reference interpretation (no compiler involved)
-# ---------------------------------------------------------------------------
 
 def reference_config(case: KernelCase,
                      machine: GpuSpec = GTX280) -> LaunchConfig:
     """The plain programmer's launch the reference run uses."""
-    block = _naive_block(case.domain, machine)
-    grid = (max(1, case.domain[0] // block[0]),
-            max(1, case.domain[1] // block[1]))
-    return LaunchConfig(grid=grid, block=block)
+    return naive_launch(case.domain, machine)
 
 
 def run_reference(kernel: Kernel, case: KernelCase,
@@ -251,11 +227,11 @@ def run_reference(kernel: Kernel, case: KernelCase,
                   machine: GpuSpec = GTX280,
                   backend: Optional[str] = None) -> Dict[str, np.ndarray]:
     """Interpret the naive kernel under a plain programmer's launch."""
-    config = reference_config(case, machine)
-    work = {k: v.copy() for k, v in arrays.items()}
-    scalars = {p.name: case.sizes[p.name] for p in kernel.scalar_params()}
-    run_kernel(kernel, config, work, scalars, backend=backend)
-    return work
+    ev = run(kernel, reference_config(case, machine), arrays, case.sizes,
+             backend=backend)
+    if ev.exc is not None:
+        raise ev.exc
+    return ev.outputs
 
 
 # ---------------------------------------------------------------------------
@@ -264,21 +240,6 @@ def run_reference(kernel: Kernel, case: KernelCase,
 
 def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
-
-
-def _first_mismatch(got: Dict[str, np.ndarray],
-                    want: Dict[str, np.ndarray]) -> Optional[str]:
-    for name in sorted(want):
-        a, b = got[name], want[name]
-        if a.shape != b.shape or not np.array_equal(a, b):
-            bad = int(np.count_nonzero(a != b)) if a.shape == b.shape else -1
-            where = ""
-            if a.shape == b.shape and bad:
-                flat = np.argwhere(a != b)[0]
-                where = (f" (first at {tuple(int(i) for i in flat)}: "
-                         f"{a[tuple(flat)]!r} != {b[tuple(flat)]!r})")
-            return f"array {name!r}: {bad} element(s) differ{where}"
-    return None
 
 
 def run_case(case: KernelCase,
@@ -298,36 +259,16 @@ def run_case(case: KernelCase,
 
     # -- reference run -----------------------------------------------------
     arrays = make_arrays(naive, case)
-    reference: Optional[Dict[str, np.ndarray]] = None
-    try:
-        reference = run_reference(naive, case, arrays, opts.machine,
-                                  backend=opts.exec_backend())
-        ref_exc: Optional[BaseException] = None
-    except Exception as exc:
-        ref_exc = exc
+    launch = (naive, reference_config(case, opts.machine), arrays, case.sizes)
+    reference = run(*launch, backend=opts.exec_backend())
     if opts.backend == "both":
-        config = reference_config(case, opts.machine)
-        scalars = {p.name: case.sizes[p.name]
-                   for p in naive.scalar_params()}
-        _cross_check_backends(
-            "reference",
-            lambda work, b: run_kernel(naive, config, work, scalars,
-                                       backend=b),
-            arrays, reference, ref_exc, result)
+        _cross_check_backends("reference", launch, reference, result)
     if opts.schedules or opts.schedule_seeds:
-        config = reference_config(case, opts.machine)
-        scalars = {p.name: case.sizes[p.name]
-                   for p in naive.scalar_params()}
-        _check_schedules(
-            "reference",
-            lambda work, sched: run_kernel(naive, config, work, scalars,
-                                           backend="scheduled",
-                                           scheduler=sched),
-            arrays, reference, ref_exc, opts, result)
-    if ref_exc is not None:
+        _check_schedules("reference", launch, reference, opts, result)
+    if reference.exc is not None:
         result.status = "divergent"
-        result.divergences.append(
-            Divergence("", "crash", "reference: " + _describe(ref_exc)))
+        result.divergences.append(Divergence(
+            "", "crash", "reference: " + _describe(reference.exc)))
         return result
 
     # -- compile every cumulative stage ------------------------------------
@@ -358,55 +299,18 @@ def run_case(case: KernelCase,
     return result
 
 
-def _cross_check_backends(stage, run_fn, arrays: Dict[str, np.ndarray],
-                          lockstep_work: Optional[Dict[str, np.ndarray]],
-                          lockstep_exc: Optional[BaseException],
+def _cross_check_backends(stage: str, launch: tuple, lockstep: Evidence,
                           result: CaseResult) -> None:
-    """Run ``run_fn`` on the vectorized backend and demand agreement.
-
-    ``lockstep_work``/``lockstep_exc`` describe what the lockstep run
-    already produced; a kernel the vectorized backend statically refuses
-    is skipped, everything else must match bit-for-bit (or raise the
-    same exception class).
-    """
-    vwork = {k: v.copy() for k, v in arrays.items()}
-    try:
-        run_fn(vwork, "vectorized")
-        vec_exc: Optional[BaseException] = None
-    except UnsupportedKernelError:
-        return
-    except Exception as exc:
-        vec_exc = exc
-    lk = ("ok" if lockstep_exc is None
-          else type(lockstep_exc).__name__)
-    vk = "ok" if vec_exc is None else type(vec_exc).__name__
-    if lk != vk:
+    """Re-run ``launch`` (``run``'s positional arguments) on the
+    vectorized backend and demand agreement with ``lockstep``: the same
+    error family, or the same bits.  Kernels the vectorized backend
+    statically refuses are skipped."""
+    vec = run(*launch, backend="vectorized")
+    mismatch = compare(vec, lockstep)
+    if mismatch and not isinstance(vec.exc, UnsupportedKernelError):
         result.divergences.append(Divergence(
-            stage, "backend",
-            f"lockstep {lk} ({lockstep_exc}) vs vectorized "
-            f"{vk} ({vec_exc})".replace("(None)", "")))
-        return
-    if vec_exc is None and lockstep_work is not None:
-        mismatch = _first_mismatch(vwork, lockstep_work)
-        if mismatch:
-            result.divergences.append(Divergence(
-                stage, "backend", "vectorized differs from lockstep: "
-                + mismatch))
-
-
-def _error_family(exc: Optional[BaseException]) -> str:
-    """Exception classification for cross-schedule comparison.
-
-    :class:`~repro.sim.scheduled.DeadlockError` subclasses
-    :class:`~repro.sim.interp.BarrierError` so a divergent barrier the
-    lockstep interpreter reports and the deadlock the scheduled backend
-    reports for the same program compare equal — same bug, two oracles.
-    """
-    if exc is None:
-        return "ok"
-    if isinstance(exc, BarrierError):
-        return "BarrierError"
-    return type(exc).__name__
+            stage, "backend", "vectorized differs from lockstep: "
+            + mismatch))
 
 
 def _schedule_proof(ck) -> Optional[str]:
@@ -438,16 +342,12 @@ def _schedule_proof(ck) -> Optional[str]:
     return None
 
 
-def _check_schedules(stage: str,
-                     run_fn: Callable[[Dict[str, np.ndarray], object], None],
-                     arrays: Dict[str, np.ndarray],
-                     lockstep_work: Optional[Dict[str, np.ndarray]],
-                     lockstep_exc: Optional[BaseException],
-                     opts: OracleOptions, result: CaseResult,
-                     proof: Optional[str] = None) -> None:
-    """Run ``run_fn`` under K seeded schedules; demand the lockstep bits.
+def _check_schedules(stage: str, launch: tuple, lockstep: Evidence,
+                     opts: OracleOptions,
+                     result: CaseResult, proof: Optional[str] = None) -> None:
+    """Re-run ``launch`` under K seeded schedules; demand ``lockstep``.
 
-    Any disagreement — differing outputs, or a differing error family —
+    Any disagreement -- differing outputs, or a differing error family --
     is a ``schedule`` divergence whose ``meta`` (seed, scheduler, yield
     count, schedule trace tail) replays it deterministically.  When the
     dataflow engine claimed the stage schedule-invariant (``proof``),
@@ -457,43 +357,27 @@ def _check_schedules(stage: str,
     completed/pending seed split so the campaign is resumable.
     """
     plan = opts.schedule_seed_plan()
-    lock_family = _error_family(lockstep_exc)
+    prefix = f"falsifies dataflow {proof} proof: " if proof else ""
     completed: List[int] = []
-    for seed, kind in plan:
-        sched = make_scheduler(kind, seed)
-        work = {k: v.copy() for k, v in arrays.items()}
-        try:
-            run_fn(work, sched)
-            sched_exc: Optional[BaseException] = None
-        except KeyboardInterrupt:
-            pending = [s for s, _ in plan if s not in completed]
-            raise ScheduleInterrupted(result, stage, completed, pending)
-        except Exception as exc:
-            sched_exc = exc
-        result.schedule_runs += 1
-        completed.append(seed)
-        meta: Dict[str, object] = {"seed": seed, "scheduler": kind}
-        if sched.last_result is not None:
-            meta["yields"] = sched.last_result.yields
-            meta["trace_tail"] = list(sched.last_result.trace_tail)
-        if proof is not None:
-            meta["dataflow_proof"] = proof
-        prefix = (f"falsifies dataflow {proof} proof: " if proof else "")
-        family = _error_family(sched_exc)
-        if family != lock_family:
+    try:
+        for seed, kind, ev in schedule_sweep(*launch, plan):
+            result.schedule_runs += 1
+            completed.append(seed)
+            mismatch = compare(ev, lockstep)
+            if not mismatch:
+                continue
+            meta: Dict[str, object] = {"seed": seed, "scheduler": kind}
+            if ev.yields is not None:
+                meta["yields"] = ev.yields
+                meta["trace_tail"] = list(ev.trace_tail)
+            if proof is not None:
+                meta["dataflow_proof"] = proof
             result.divergences.append(Divergence(
-                stage, "schedule",
-                f"{prefix}scheduler {kind!r} seed {seed}: lockstep "
-                f"{lock_family} ({lockstep_exc}) vs scheduled {family} "
-                f"({sched_exc})".replace("(None)", ""), meta))
-            continue
-        if sched_exc is None and lockstep_work is not None:
-            mismatch = _first_mismatch(work, lockstep_work)
-            if mismatch:
-                result.divergences.append(Divergence(
-                    stage, "schedule",
-                    f"{prefix}scheduler {kind!r} seed {seed} diverges "
-                    f"from lockstep: {mismatch}", meta))
+                stage, "schedule", f"{prefix}scheduler {kind!r} seed "
+                f"{seed} diverges from lockstep: {mismatch}", meta))
+    except KeyboardInterrupt:
+        pending = [s for s, _ in plan if s not in completed]
+        raise ScheduleInterrupted(result, stage, completed, pending)
 
 
 def _confirm_verify_races(stage: str, ck, arrays: Dict[str, np.ndarray],
@@ -615,37 +499,30 @@ def _check_soundness(stage: str, ck, arrays: Dict[str, np.ndarray],
             stage, "unsound", "dataflow engine crashed: " + _describe(exc)))
         return
     checker = _SummaryChecker(facts)
-    work = {k: v.copy() for k, v in arrays.items()}
-    try:
-        ck.run(work, backend="lockstep", profile=checker)
-    except Exception as exc:
+    replay = run(ck.kernel, ck.config, arrays, ck.size_bindings(),
+                 backend="lockstep", profile=checker)
+    if replay.exc is not None:
         result.divergences.append(Divergence(
-            stage, "crash", "soundness replay: " + _describe(exc)))
+            stage, "crash", "soundness replay: " + _describe(replay.exc)))
         return
     for violation in checker.violations:
         result.divergences.append(Divergence(stage, "unsound", violation))
 
 
 def _check_stage(stage: str, ck, arrays: Dict[str, np.ndarray],
-                 reference: Dict[str, np.ndarray], opts: OracleOptions,
+                 reference: Evidence, opts: OracleOptions,
                  result: CaseResult) -> None:
     # 1. bit-exact output equivalence (and, in 'both' mode, bit-exact
     #    agreement between the two simulator backends).
-    work = {k: v.copy() for k, v in arrays.items()}
-    try:
-        ck.run(work, backend=opts.exec_backend())
-        stage_exc: Optional[BaseException] = None
-    except Exception as exc:
-        stage_exc = exc
+    launch = (ck.kernel, ck.config, arrays, ck.size_bindings())
+    out = run(*launch, backend=opts.exec_backend())
     if opts.backend == "both":
-        _cross_check_backends(
-            stage, lambda w, b: ck.run(w, backend=b), arrays,
-            work if stage_exc is None else None, stage_exc, result)
-    if stage_exc is not None:
+        _cross_check_backends(stage, launch, out, result)
+    if out.exc is not None:
         result.divergences.append(
-            Divergence(stage, "crash", _describe(stage_exc)))
+            Divergence(stage, "crash", _describe(out.exc)))
         return
-    mismatch = _first_mismatch(work, reference)
+    mismatch = compare(out, reference)
     if mismatch:
         result.divergences.append(Divergence(stage, "output", mismatch))
 
@@ -654,9 +531,8 @@ def _check_stage(stage: str, ck, arrays: Dict[str, np.ndarray],
     #     removable) carry that proof into any divergence — PR 6's proofs
     #     become dynamically falsifiable here.
     if opts.schedules or opts.schedule_seeds:
-        _check_schedules(
-            stage, lambda w, s: ck.run(w, backend="scheduled", scheduler=s),
-            arrays, work, None, opts, result, proof=_schedule_proof(ck))
+        _check_schedules(stage, launch, out, opts, result,
+                         proof=_schedule_proof(ck))
 
     # 1b. dynamic counters agree bit-for-bit across backends.
     if opts.check_profile:
@@ -694,14 +570,12 @@ def _check_stage(stage: str, ck, arrays: Dict[str, np.ndarray],
         try:
             reparsed = parse_kernel(print_kernel(ck.kernel))
             check_kernel(reparsed, mode="optimized")
-            redo = {k: v.copy() for k, v in arrays.items()}
-            replace(ck, kernel=reparsed).run(redo,
-                                             backend=opts.exec_backend())
         except Exception as exc:
             result.divergences.append(
                 Divergence(stage, "roundtrip", _describe(exc)))
             return
-        mismatch = _first_mismatch(redo, work)
+        redo = run(reparsed, *launch[1:], backend=opts.exec_backend())
+        mismatch = compare(redo, out)
         if mismatch:
             result.divergences.append(
                 Divergence(stage, "roundtrip", "reprinted kernel differs: "

@@ -35,7 +35,7 @@ agreement is exact, not approximate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -540,27 +540,3 @@ def _walk_array_refs(stmts):
             for e in walk_exprs(expr):
                 if isinstance(e, ArrayRef):
                     yield e
-
-
-# ---------------------------------------------------------------------------
-# Convenience driver
-# ---------------------------------------------------------------------------
-
-def collect_profile(kernel: Kernel, config: LaunchConfig,
-                    arrays: Mapping[str, np.ndarray],
-                    scalars: Optional[Mapping[str, object]] = None,
-                    backend: Optional[str] = None,
-                    copy_arrays: bool = True) -> KernelProfile:
-    """Run ``kernel`` once under a profiler and return its counters.
-
-    ``copy_arrays`` (default) leaves the caller's arrays untouched so the
-    same inputs can be profiled on several backends or stages.
-    """
-    from repro.sim.backend import run_kernel
-    if copy_arrays:
-        arrays = {name: np.array(a, copy=True) for name, a in arrays.items()}
-    collector = ProfileCollector(kernel, config)
-    used = run_kernel(kernel, config, dict(arrays),
-                      dict(scalars or {}), backend=backend,
-                      profile=collector)
-    return collector.finalize(used)

@@ -46,31 +46,14 @@ DEFAULT_KERNELS = ("mm", "tp", "rd")
 PIPELINE_SITES = tuple(s for s in FAULT_SITES if s != "reduction")
 
 
-def _naive_reference(naive, sizes, domain, mach):
-    """Inputs plus the naive kernel's outputs on them (exact integers)."""
-    from repro.compiler import _naive_block
-    from repro.resilience.validate import synth_arrays
-    from repro.sim.backend import run_kernel
-    from repro.sim.interp import LaunchConfig
-
-    base = synth_arrays(naive, sizes)
-    ref = {k: v.copy() for k, v in base.items()}
-    block = _naive_block(domain, mach)
-    grid = (max(1, -(-domain[0] // block[0])),
-            max(1, -(-domain[1] // block[1])))
-    scalars = {p.name: sizes[p.name] for p in naive.scalar_params()}
-    run_kernel(naive, LaunchConfig(grid=grid, block=block), ref, scalars,
-               backend="auto")
-    return base, ref
-
-
 def _check_pipeline_kernel(alg, scale, mach, *, validate: bool,
                            faults: Optional[FaultPlan],
                            budget: Optional[float]) -> Dict[str, object]:
     """Resiliently compile one suite kernel and diff it against naive."""
-    from repro.compiler import CompileOptions, compile_kernel
+    from repro.compiler import CompileOptions, compile_kernel, naive_launch
     from repro.lang.parser import parse_kernel
-    from repro.resilience.validate import _first_mismatch
+    from repro.resilience.validate import synth_arrays
+    from repro.sim.differential import compare, run
 
     sizes = alg.sizes(scale)
     domain = alg.domain(sizes)
@@ -92,17 +75,14 @@ def _check_pipeline_kernel(alg, scale, mach, *, validate: bool,
         for a in compiled.attempts]
     result["report"] = report.to_dict() if report is not None else None
 
-    base, ref = _naive_reference(naive, sizes, domain, mach)
+    base = synth_arrays(naive, sizes)
+    ref = run(naive, naive_launch(domain, mach), base, sizes, backend="auto")
     mismatches: List[str] = []
     for backend in CHECK_BACKENDS:
-        work = {k: v.copy() for k, v in base.items()}
-        try:
-            compiled.run(work, backend=backend)
-        except Exception as exc:
-            mismatches.append(f"{backend}: crash: "
-                              f"{type(exc).__name__}: {exc}")
-            continue
-        mismatch = _first_mismatch(work, ref)
+        got = run(compiled.kernel, compiled.config, base,
+                  compiled.size_bindings(), backend=backend)
+        mismatch = (f"crash: {type(got.exc).__name__}: {got.exc}"
+                    if got.exc is not None else compare(got, ref))
         if mismatch is not None:
             mismatches.append(f"{backend}: {mismatch}")
     result["bit_identical"] = not mismatches

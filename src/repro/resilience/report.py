@@ -61,6 +61,9 @@ class ResilienceReport:
     validated: bool = False
     floor: bool = False          # compiled with every optimization off
     sites: List[PassOutcome] = field(default_factory=list)
+    #: Why validated mode simulated no pass (work above the limit, or
+    #: the naive reference raised); ``None`` when it did.
+    validation_skipped: Optional[str] = None
 
     def record(self, outcome: PassOutcome) -> PassOutcome:
         if outcome.status not in OUTCOME_STATUSES:
@@ -104,12 +107,15 @@ class ResilienceReport:
         return "; ".join(parts)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
+        out: Dict[str, object] = {
             "target_threads": self.target_threads,
             "validated": self.validated,
             "floor": self.floor,
             "sites": [o.to_dict() for o in self.sites],
         }
+        if self.validation_skipped is not None:
+            out["validation_skipped"] = self.validation_skipped
+        return out
 
 
 def resilience_envelope(kernels: List[Dict[str, object]],

@@ -11,13 +11,15 @@ against the naive kernel's interpretation.  A mismatch rolls the pass
 back, so fuzzer-class bugs degrade output *quality* instead of
 correctness.
 
-Inputs are synthesized the way the fuzz oracle does it (integer-valued
-floats in ``[0, 8)``, seeded from the kernel source and bindings): every
-sum and product the suite kernels form is exactly representable in
-float32, so bit-exact comparison is sound regardless of evaluation
-order.  Dynamic validation is skipped above :data:`DYNAMIC_WORK_LIMIT`
-work items (the static verifier still runs); callers compiling at
-production scales validate at a test scale first.
+Inputs and the launch-and-compare step are the shared differential
+harness (:mod:`repro.sim.differential`), seeded here from the printed
+kernel and its size bindings.  Dynamic validation is skipped above
+:data:`DYNAMIC_WORK_LIMIT` work items (the static verifier still runs;
+callers compiling at production scales validate at a test scale first)
+and when the naive kernel itself raises on the synthesized inputs.
+Either skip is recorded once per compilation, with its cause, as a
+``validate.skipped`` decision and as
+:attr:`~repro.resilience.report.ResilienceReport.validation_skipped`.
 """
 
 from __future__ import annotations
@@ -29,47 +31,18 @@ import numpy as np
 
 from repro.lang.astnodes import Kernel
 from repro.lang.printer import print_kernel
+from repro.sim.differential import Evidence, compare, inputs, run
 from repro.sim.interp import LaunchConfig
 
 #: Work-item ceiling for the per-pass differential simulation.
 DYNAMIC_WORK_LIMIT = 1 << 16
 
 
-def synth_seed(kernel: Kernel, sizes: Dict[str, int]) -> int:
-    """A stable 32-bit seed from the kernel source and size bindings."""
-    text = print_kernel(kernel) + "|" + repr(sorted(sizes.items()))
-    return zlib.crc32(text.encode())
-
-
 def synth_arrays(kernel: Kernel,
                  sizes: Dict[str, int]) -> Dict[str, np.ndarray]:
-    """Deterministic integer-valued inputs; written arrays start at zero."""
-    rng = np.random.default_rng(synth_seed(kernel, sizes))
-    written = set(kernel.output_names())
-    if not written:
-        # No #pragma output: fall back to assignment-target analysis.
-        from repro.fuzz.oracle import output_names
-        written = output_names(kernel)
-    arrays: Dict[str, np.ndarray] = {}
-    for p in kernel.array_params():
-        shape = p.array_type().resolved_dims(sizes)
-        dtype = np.int32 if p.type.name == "int" else np.float32
-        if p.name in written:
-            arrays[p.name] = np.zeros(shape, dtype=dtype)
-        else:
-            arrays[p.name] = rng.integers(0, 8, size=shape).astype(dtype)
-    return arrays
-
-
-def _first_mismatch(got: Dict[str, np.ndarray],
-                    want: Dict[str, np.ndarray]) -> Optional[str]:
-    for name in sorted(want):
-        a, b = got[name], want[name]
-        if a.shape != b.shape or not np.array_equal(a, b):
-            count = (int(np.count_nonzero(a != b))
-                     if a.shape == b.shape else -1)
-            return f"array {name!r}: {count} element(s) differ"
-    return None
+    """Validated mode's inputs (:func:`repro.sim.differential.inputs`)."""
+    return inputs(kernel, sizes, zlib.crc32(
+        f"{print_kernel(kernel)}|{sorted(sizes.items())!r}".encode()))
 
 
 class PipelineValidator:
@@ -77,56 +50,35 @@ class PipelineValidator:
 
     Built once per compilation from the *naive* kernel (before any pass
     touched it); :meth:`check` is called by the pass guard after each
-    pass that changed the pipeline state.
+    pass that changed the pipeline state.  ``report`` (the compilation's
+    :class:`~repro.resilience.report.ResilienceReport`) receives the
+    skip cause, if any.
     """
 
     def __init__(self, naive: Kernel, sizes: Dict[str, int],
                  domain: Tuple[int, int], machine,
-                 work_limit: int = DYNAMIC_WORK_LIMIT):
+                 work_limit: int = DYNAMIC_WORK_LIMIT, report=None):
+        from repro.compiler import naive_launch
         self._naive = naive.clone()
         self._sizes = dict(sizes)
-        self._domain = domain
-        self._machine = machine
+        self._launch = naive_launch(domain, machine)
+        self._work = domain[0] * domain[1]
         self._work_limit = work_limit
+        self._report = report
         self._arrays: Optional[Dict[str, np.ndarray]] = None
-        self._reference: Optional[Dict[str, np.ndarray]] = None
-        self._reference_failed: Optional[str] = None
-
-    # -- naive reference (computed once, lazily) ---------------------------
-
-    def _naive_launch(self) -> LaunchConfig:
-        from repro.compiler import _naive_block
-        block = _naive_block(self._domain, self._machine)
-        grid = (max(1, -(-self._domain[0] // block[0])),
-                max(1, -(-self._domain[1] // block[1])))
-        return LaunchConfig(grid=grid, block=block)
+        self._reference: Optional[Evidence] = None
+        #: Why dynamic validation did not run (``None`` while it does).
+        self.skipped: Optional[str] = None
 
     def reference(self) -> Optional[Dict[str, np.ndarray]]:
-        """The naive kernel's outputs on the synthesized workload."""
-        if self._reference is not None or self._reference_failed:
-            return self._reference
-        from repro.sim.backend import run_kernel
-        self._arrays = synth_arrays(self._naive, self._sizes)
-        work = {k: v.copy() for k, v in self._arrays.items()}
-        scalars = {p.name: self._sizes[p.name]
-                   for p in self._naive.scalar_params()}
-        try:
-            run_kernel(self._naive, self._naive_launch(), work, scalars,
-                       backend="auto")
-        except Exception as exc:
-            # The *naive* kernel failed: no pass can be blamed for that,
-            # so dynamic validation is disabled for this compilation.
-            self._reference_failed = f"{type(exc).__name__}: {exc}"
-            return None
-        self._reference = work
-        return self._reference
-
-    # -- the per-pass check ------------------------------------------------
-
-    def _effective_launch(self, ctx) -> LaunchConfig:
-        if ctx.block != (1, 1):
-            return LaunchConfig(grid=ctx.grid, block=ctx.block)
-        return self._naive_launch()
+        """The naive kernel's outputs on the synthesized workload, or
+        ``None`` when the naive kernel itself raises (no pass can be
+        blamed for that)."""
+        if self._reference is None:
+            self._arrays = synth_arrays(self._naive, self._sizes)
+            self._reference = run(self._naive, self._launch, self._arrays,
+                                  self._sizes, backend="auto")
+        return None if self._reference.exc else self._reference.outputs
 
     def check(self, ctx) -> Optional[str]:
         """Validate the current pipeline state; failure detail or None."""
@@ -135,40 +87,35 @@ class PipelineValidator:
         bindings = dict(ctx.sizes)
         for name in ctx.halved_extents:
             bindings[name] = bindings[name] // 2
-        config = self._effective_launch(ctx)
+        config = (LaunchConfig(grid=ctx.grid, block=ctx.block)
+                  if ctx.block != (1, 1) else self._launch)
         report = verify_kernel(
             ctx.kernel, bindings, block=tuple(config.block),
             grid=tuple(config.grid), machine=ctx.machine, stage="validate")
         if report.has_errors:
             return "verify: " + report.errors[0].render()
 
-        if self._domain[0] * self._domain[1] > self._work_limit:
-            return None   # static checks only at production scales
-        reference = self.reference()
-        if reference is None:
-            return None   # naive kernel itself does not run; see above
-        return self._run_and_compare(ctx, config, bindings, reference)
+        if self._work > self._work_limit:
+            return self._skip(ctx, f"{self._work} work items exceed "
+                                   f"DYNAMIC_WORK_LIMIT ({self._work_limit})")
+        if self.reference() is None:
+            exc = self._reference.exc
+            return self._skip(ctx, f"the naive kernel raised "
+                                   f"{type(exc).__name__}: {exc}")
+        got = run(ctx.kernel, config, self._arrays, bindings, backend="auto")
+        if got.exc is not None:
+            return f"crash: {type(got.exc).__name__}: {got.exc}"
+        return compare(got, self._reference)
 
-    def _run_and_compare(self, ctx, config: LaunchConfig,
-                         bindings: Dict[str, int],
-                         reference: Dict[str, np.ndarray]) -> Optional[str]:
-        from repro.sim.backend import run_kernel
-        work = {k: v.copy() for k, v in self._arrays.items()}
-        bound = dict(work)
-        for p in ctx.kernel.array_params():
-            if p.type.lanes > 1 and p.name in bound:
-                arr = bound[p.name]
-                if arr.ndim == len(p.dims):
-                    bound[p.name] = arr.reshape(
-                        arr.shape[:-1] + (arr.shape[-1] // p.type.lanes,
-                                          p.type.lanes))
-        scalars = {p.name: bindings[p.name]
-                   for p in ctx.kernel.scalar_params()}
-        try:
-            run_kernel(ctx.kernel, config, bound, scalars, backend="auto")
-        except Exception as exc:
-            return f"crash: {type(exc).__name__}: {exc}"
-        return _first_mismatch(work, reference)
+    def _skip(self, ctx, cause: str) -> None:
+        """Record, once, that no pass of this compilation is simulated."""
+        if self.skipped is None:
+            self.skipped = cause
+            ctx.note(f"validate: dynamic check skipped, {cause}",
+                     rule="validate.skipped", cause=cause)
+            if self._report is not None:
+                self._report.validation_skipped = cause
+        return None
 
 
 def validate_reduction(compiled,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.compiler import _naive_block
+from repro.compiler import naive_launch
 from repro.fuzz.grammar import SHAPES, generate_case, generate_cases
 from repro.lang.parser import parse_kernel
 from repro.lang.semantic import check_kernel
@@ -43,7 +43,7 @@ class TestValidity:
         # The naive launch contract: the block must tile the domain.
         for index in range(30):
             case = generate_case(2, index)
-            bx, by = _naive_block(case.domain, GTX280)
+            bx, by = naive_launch(case.domain, GTX280).block
             assert case.domain[0] % bx == 0, case.name
             assert case.domain[1] % by == 0, case.name
 

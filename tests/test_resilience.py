@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.compiler import CompileOptions, _naive_block, compile_kernel
+from repro.compiler import CompileOptions, compile_kernel, naive_launch
 from repro.kernels.suite import ALGORITHMS
 from repro.lang.parser import parse_kernel
 from repro.passes.base import CompilationContext, PassError
@@ -20,9 +20,8 @@ from repro.resilience import (
     parse_fault,
     synth_arrays,
 )
-from repro.resilience.validate import _first_mismatch
-from repro.sim.backend import run_kernel
-from repro.sim.interp import LaunchConfig
+from repro.sim.differential import compare as _first_mismatch
+from repro.sim.differential import run
 from tests.conftest import MM_SRC, TP_SRC
 
 SIM_BACKENDS = ("lockstep", "vectorized")
@@ -44,14 +43,9 @@ def _naive_outputs(source, sizes, domain):
 
     naive = parse_kernel(source)
     base = synth_arrays(naive, sizes)
-    ref = {k: v.copy() for k, v in base.items()}
-    block = _naive_block(domain, GTX280)
-    grid = (max(1, -(-domain[0] // block[0])),
-            max(1, -(-domain[1] // block[1])))
-    scalars = {p.name: sizes[p.name] for p in naive.scalar_params()}
-    run_kernel(naive, LaunchConfig(grid=grid, block=block), ref, scalars,
-               backend="auto")
-    return base, ref
+    ref = run(naive, naive_launch(domain, GTX280), base, sizes,
+              backend="auto")
+    return base, ref.outputs
 
 
 class TestFaultPlan:
@@ -313,6 +307,45 @@ class TestValidatedMode:
         compiled = compile_kernel(alg.source, sizes, domain,
                                   options=CompileOptions(validate=True))
         assert compiled.resilience is not None
+
+
+def _skip_events(compiled):
+    return [e for e in compiled.trace.events if e.rule == "validate.skipped"]
+
+
+class TestValidationSkip:
+    """A validated compile that simulates no pass says so, once."""
+
+    def test_strsm_reference_raise_is_recorded(self):
+        # strsm divides by a[i][i], which the synthesized inputs draw as 0.
+        alg = ALGORITHMS["strsm"]
+        sizes = {"n": 48, "m": 48}
+        compiled = compile_kernel(alg.source, sizes, alg.domain(sizes),
+                                  options=CompileOptions(validate=True))
+        report = compiled.resilience
+        assert report.validated
+        assert "ZeroDivisionError" in report.validation_skipped
+        assert report.to_dict()["validation_skipped"] \
+            == report.validation_skipped
+        [event] = _skip_events(compiled)
+        assert event.details["cause"] == report.validation_skipped
+
+    def test_mm_above_work_limit_is_recorded(self):
+        alg = ALGORITHMS["mm"]
+        sizes = alg.sizes(512)
+        compiled = compile_kernel(alg.source, sizes, alg.domain(sizes),
+                                  options=CompileOptions(validate=True))
+        skipped = compiled.resilience.validation_skipped
+        assert "DYNAMIC_WORK_LIMIT" in skipped
+        assert len(_skip_events(compiled)) == 1
+
+    def test_mm_at_test_scale_records_no_skip(self):
+        alg, sizes, domain = _suite("mm")
+        compiled = compile_kernel(alg.source, sizes, domain,
+                                  options=CompileOptions(validate=True))
+        assert compiled.resilience.validation_skipped is None
+        assert "validation_skipped" not in compiled.resilience.to_dict()
+        assert not _skip_events(compiled)
 
 
 class TestReductionResilience:

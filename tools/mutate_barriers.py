@@ -55,8 +55,9 @@ from repro.lang.astnodes import (
 from repro.machine import GTX280
 from repro.obs.trace import snippet
 from repro.reduction import ReductionPlan, compile_reduction
-from repro.sim.interp import Interpreter, LaunchConfig
-from repro.sim.scheduled import make_scheduler, run_scheduled, schedule_plan
+from repro.sim.differential import compare, run, schedule_sweep
+from repro.sim.interp import LaunchConfig
+from repro.sim.scheduled import schedule_plan
 
 #: The kill-rate floor the whole race-detection stack must clear.
 KILL_FLOOR = 0.9
@@ -156,27 +157,22 @@ def kill_mutant(mutant: Kernel, sizes: Dict[str, int],
         return f"verifier:{report.errors[0].analysis}"
 
     # 2. differential: mutant lockstep vs the unmutated kernel's bits.
-    work = {k: v.copy() for k, v in arrays.items()}
-    try:
-        Interpreter(mutant).run(config, work, scalars)
-    except Exception as exc:
-        return f"differential:{type(exc).__name__}"
-    for name in reference_out:
-        if not np.array_equal(work[name], reference_out[name]):
-            return f"differential:output:{name}"
+    lockstep = run(mutant, config, arrays, scalars, backend="lockstep")
+    if lockstep.exc is not None:
+        return f"differential:{type(lockstep.exc).__name__}"
+    mismatch = compare(lockstep.outputs, reference_out)
+    if mismatch:
+        # compare() names the array first: "array 'c': ...".
+        return "differential:output:" + mismatch.split("'")[1]
 
     # 3. schedule oracle: any seeded interleaving that disagrees with
     #    the mutant's own lockstep bits proves the mutant racy.
-    for seed, kind in schedule_plan(schedules):
-        sched_work = {k: v.copy() for k, v in arrays.items()}
-        try:
-            run_scheduled(mutant, config, sched_work, scalars,
-                          scheduler=make_scheduler(kind, seed))
-        except Exception as exc:
-            return f"schedule:seed={seed}:{type(exc).__name__}"
-        for name in reference_out:
-            if not np.array_equal(sched_work[name], work[name]):
-                return f"schedule:seed={seed}"
+    for seed, _, ev in schedule_sweep(mutant, config, arrays, scalars,
+                                      schedule_plan(schedules)):
+        if ev.exc is not None:
+            return f"schedule:seed={seed}:{type(ev.exc).__name__}"
+        if compare(ev, lockstep):
+            return f"schedule:seed={seed}"
     return None
 
 
@@ -224,8 +220,8 @@ def run_harness(schedules: int = 8, scale: int = 32) -> Dict[str, object]:
     killed = total = 0
     for label, kernel, sizes, config, arrays, scalars in \
             harness_targets(scale):
-        reference_out = {k: v.copy() for k, v in arrays.items()}
-        Interpreter(kernel).run(config, reference_out, scalars)
+        reference_out = run(kernel, config, arrays, scalars,
+                            backend="lockstep").outputs
         # The unmutated kernel must pass the whole stack, or every kill
         # below would be vacuous (the oracle crying wolf, not catching
         # the mutation).
