@@ -347,7 +347,7 @@ def _check_schedules(stage: str, launch: tuple, lockstep: Evidence,
                      result: CaseResult, proof: Optional[str] = None) -> None:
     """Re-run ``launch`` under K seeded schedules; demand ``lockstep``.
 
-    Any disagreement -- differing outputs, or a differing error family --
+    Any disagreement — differing outputs, or a differing error family —
     is a ``schedule`` divergence whose ``meta`` (seed, scheduler, yield
     count, schedule trace tail) replays it deterministically.  When the
     dataflow engine claimed the stage schedule-invariant (``proof``),

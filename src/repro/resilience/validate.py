@@ -67,8 +67,7 @@ class PipelineValidator:
         self._report = report
         self._arrays: Optional[Dict[str, np.ndarray]] = None
         self._reference: Optional[Evidence] = None
-        #: Why dynamic validation did not run (``None`` while it does).
-        self.skipped: Optional[str] = None
+        self._skipped: Optional[str] = None
 
     def reference(self) -> Optional[Dict[str, np.ndarray]]:
         """The naive kernel's outputs on the synthesized workload, or
@@ -109,8 +108,8 @@ class PipelineValidator:
 
     def _skip(self, ctx, cause: str) -> None:
         """Record, once, that no pass of this compilation is simulated."""
-        if self.skipped is None:
-            self.skipped = cause
+        if self._skipped is None:
+            self._skipped = cause
             ctx.note(f"validate: dynamic check skipped, {cause}",
                      rule="validate.skipped", cause=cause)
             if self._report is not None:
