@@ -60,6 +60,7 @@ documented in the README.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -140,29 +141,28 @@ def main(argv=None) -> int:
         return EX_SOFTWARE
 
 
+#: Subcommand -> (module, entry point), imported only when chosen.
+SUBCOMMANDS = {
+    "lint": (__name__, "lint_main"),            # this module
+    "fuzz": ("repro.fuzz.cli", "fuzz_main"),
+    "profile": ("repro.obs.report", "profile_main"),
+    "resilience": ("repro.resilience.cli", "resilience_main"),
+    "serve": ("repro.serve.daemon", "serve_main"),
+    "serve-gc": ("repro.serve.store", "serve_gc_main"),
+    "trace-view": ("repro.obs.traceview", "trace_view_main"),
+}
+
+
 def _run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "lint":
-        return lint_main(argv[1:])
-    if argv and argv[0] == "fuzz":
-        from repro.fuzz.cli import fuzz_main
-        return fuzz_main(argv[1:])
-    if argv and argv[0] == "profile":
-        from repro.obs.report import profile_main
-        return profile_main(argv[1:])
-    if argv and argv[0] == "resilience":
-        from repro.resilience.cli import resilience_main
-        return resilience_main(argv[1:])
-    if argv and argv[0] == "serve":
-        from repro.serve.daemon import serve_main
-        return serve_main(argv[1:])
-    if argv and argv[0] == "serve-gc":
-        from repro.serve.store import serve_gc_main
-        return serve_gc_main(argv[1:])
-    if argv and argv[0] == "trace-view":
-        from repro.obs.traceview import trace_view_main
-        return trace_view_main(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        module, name = SUBCOMMANDS[argv[0]]
+        try:
+            return getattr(importlib.import_module(module), name)(argv[1:])
+        except SystemExit as exc:
+            # argparse's usage error (or --help) as the CLI's exit code.
+            return 2 if exc.code not in (0, None) else 0
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -351,7 +351,6 @@ def lint_main(argv=None) -> int:
                                 verify_kernel)
     from repro.compiler import compile_stages
     from repro.kernels.suite import ALGORITHMS
-    from repro.reduction import compile_reduction
 
     parser = argparse.ArgumentParser(
         prog="python -m repro lint",

@@ -112,9 +112,6 @@ class KernelFacts:
             existing.verdict = None
             existing.evidence = ""
 
-    def fact_for(self, ref: ast.ArrayRef) -> Optional[AccessFact]:
-        return self.accesses.get(id(ref))
-
     def verdict_for(self, stmt: ast.IfStmt) -> Optional[GuardVerdict]:
         return self.verdicts.get(id(stmt))
 

@@ -135,9 +135,6 @@ class DiagnosticReport:
     def has_errors(self) -> bool:
         return any(d.severity is Severity.ERROR for d in self.diagnostics)
 
-    def to_dicts(self) -> List[Dict[str, object]]:
-        return [d.to_dict() for d in self.diagnostics]
-
     def summary(self) -> str:
         e, w, i = len(self.errors), len(self.warnings), len(self.infos)
         return f"{e} error(s), {w} warning(s), {i} info"

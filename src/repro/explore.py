@@ -25,20 +25,30 @@ Two measurement modes:
   measurement — it rewards versions that do less total work (fewer
   statements, better merges) but cannot see memory-system effects the
   analytic model covers, so ``model`` remains the default.
+
+Every sweep is one loop over :func:`explore_candidate`, which turns a
+``(block merge, thread merge)`` candidate into a :class:`Version`.  The
+serial sweep calls it in-process, a pooled sweep (``workers``/``pool``)
+runs it in :mod:`repro.serve.pool` workers, and a remote sweep
+(``remote``) asks a compile service for the same compile; after that the
+best version is picked, and rematerialized locally if it was built
+elsewhere, the same way for all three.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.compiler import CompiledKernel, CompileOptions, compile_kernel
 from repro.machine import GTX280, GpuSpec
+from repro.obs.profile import KernelProfile
 from repro.passes.base import PassError
 from repro.sim.differential import inputs
 from repro.sim.perf import PerfEstimate, estimate_compiled
@@ -59,15 +69,19 @@ class Version:
     error: Optional[str] = None
     #: Wall-clock seconds of a simulator test run (``measure="sim"``).
     measured_s: Optional[float] = None
-    #: Dynamic hardware counters of the test run (``measure="sim"``);
-    #: a :class:`repro.obs.profile.KernelProfile` (serial sweeps) or its
-    #: ``to_dict()`` form (parallel sweeps, which cross a process
-    #: boundary).
-    profile: Optional[object] = None
+    #: Dynamic hardware counters of the test run (``measure="sim"``): a
+    #: :class:`repro.obs.profile.KernelProfile` on every executor.
+    profile: Optional[KernelProfile] = None
     #: The optimized printed source.  Always populated for feasible
-    #: versions; in parallel sweeps only the winner additionally carries
-    #: a full :class:`CompiledKernel` in ``compiled``.
+    #: versions; in pooled and remote sweeps only the winner also
+    #: carries a full :class:`CompiledKernel` in ``compiled``.
     source_text: Optional[str] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A CompiledKernel stays in the process that built it: a pool
+        # worker's reply carries everything else, and the sweep
+        # rematerializes the winner locally.
+        return dict(self.__dict__, compiled=None)
 
     @property
     def feasible(self) -> bool:
@@ -108,8 +122,8 @@ def measure_compiled(compiled: CompiledKernel,
 
 
 def profile_compiled(compiled: CompiledKernel,
-                     backend: Optional[str] = None):
-    """Dynamic counters of one test run (``KernelProfile``).
+                     backend: Optional[str] = None) -> KernelProfile:
+    """Dynamic counters of one test run.
 
     A separate launch from :func:`measure_compiled` so the profiling
     hooks never distort the timed run.
@@ -122,9 +136,10 @@ def candidate_options(block_merge: int, thread_merge: int,
                       ) -> CompileOptions:
     """The exact options one swept (bm, tm) candidate compiles with.
 
-    Shared by the serial and the pool-parallel sweep, so both explore
-    byte-identical design points (the parallel-equivalence CI step and
-    ``tests/test_serve_pool.py`` pin this).
+    Every executor compiles exactly these, so serial, pooled and remote
+    sweeps explore byte-identical design points
+    (``tests/test_serve_pool.py`` and ``tests/test_remote_modes.py`` pin
+    this).
     """
     base = base or CompileOptions()
     return CompileOptions(
@@ -138,6 +153,33 @@ def candidate_options(block_merge: int, thread_merge: int,
         thread_merge_x=base.thread_merge_x,
         thread_merge_y=thread_merge,
         target_threads=16 * block_merge)
+
+
+def explore_candidate(task: Dict[str, Any]) -> Version:
+    """Compile, estimate and (``measure="sim"``) test-run one candidate.
+
+    The one per-candidate step of every sweep: the serial sweep calls it
+    in-process and the pool runs it as its ``"explore"`` task kind.
+    ``task`` holds ``source``, ``sizes``, ``domain``, ``machine``,
+    ``block_merge``, ``thread_merge``, ``options`` (their
+    :func:`candidate_options`), ``measure`` and ``backend``.  A
+    ``PassError`` makes the version infeasible rather than raising.
+    """
+    bm, tm = task["block_merge"], task["thread_merge"]
+    try:
+        compiled = compile_kernel(task["source"], task["sizes"],
+                                  task["domain"], task["machine"],
+                                  task["options"])
+        version = Version(bm, tm, compiled, estimate_compiled(compiled),
+                          source_text=compiled.source)
+        if task["measure"] == "sim":
+            version.measured_s = measure_compiled(compiled,
+                                                  backend=task["backend"])
+            version.profile = profile_compiled(compiled,
+                                               backend=task["backend"])
+    except PassError as exc:
+        return Version(bm, tm, None, None, str(exc))
+    return version
 
 
 def explore(source: str, sizes: Dict[str, int], domain: Tuple[int, int],
@@ -176,81 +218,38 @@ def explore(source: str, sizes: Dict[str, int], domain: Tuple[int, int],
         raise ValueError(f"unknown measure {measure!r}; "
                          f"expected 'model' or 'sim'")
     base = base_options or CompileOptions()
-    grid = [(bm, tm) for bm in block_factors for tm in thread_factors]
+    tasks = [{"source": source, "sizes": sizes, "domain": domain,
+              "machine": machine, "block_merge": bm, "thread_merge": tm,
+              "options": candidate_options(bm, tm, base),
+              "measure": measure, "backend": backend}
+             for bm in block_factors for tm in thread_factors]
     if remote is not None:
         if pool is not None or workers > 0:
             raise ValueError("remote and pool/workers are exclusive")
         if measure != "model":
             raise ValueError("remote exploration scores with the "
                              "analytic model; use measure='model'")
-        versions = _explore_remote(source, sizes, domain, machine, grid,
-                                   base, remote)
+        from repro.serve.client import ServeClient
+        client = remote if hasattr(remote, "compile") else ServeClient(remote)
+        versions = [_remote_candidate(client, task) for task in tasks]
     elif pool is not None or workers > 0:
-        versions = _explore_pool(source, sizes, domain, machine, grid, base,
-                                 measure, backend, workers, pool)
+        from repro.serve.pool import WorkerPool
+        with (nullcontext(pool) if pool is not None
+              else WorkerPool(workers)) as runner:
+            versions = [t.result() for t in runner.map("explore", tasks)]
     else:
-        versions = _explore_serial(source, sizes, domain, machine, grid,
-                                   base, measure, backend)
+        versions = [explore_candidate(task) for task in tasks]
     feasible = [v for v in versions if v.feasible]
     if not feasible:
         raise PassError("no feasible version in the explored space")
     best = min(feasible, key=lambda v: v.time_s)
     if best.compiled is None:
-        # Parallel sweep: materialize the winner locally (compilation is
-        # deterministic, so this is the version the worker scored).
+        # Pooled or remote sweep: materialize the winner locally
+        # (compilation is deterministic, so this is the scored version).
         best.compiled = compile_kernel(
             source, sizes, domain, machine,
             candidate_options(best.block_merge, best.thread_merge, base))
     return ExplorationResult(versions=versions, best=best)
-
-
-def _explore_serial(source, sizes, domain, machine, grid, base,
-                    measure, backend) -> List[Version]:
-    versions: List[Version] = []
-    for bm, tm in grid:
-        options = candidate_options(bm, tm, base)
-        try:
-            compiled = compile_kernel(source, sizes, domain, machine,
-                                      options)
-            est = estimate_compiled(compiled)
-            version = Version(bm, tm, compiled, est,
-                              source_text=compiled.source)
-            if measure == "sim":
-                version.measured_s = measure_compiled(compiled,
-                                                      backend=backend)
-                version.profile = profile_compiled(compiled,
-                                                   backend=backend)
-            versions.append(version)
-        except PassError as exc:
-            versions.append(Version(bm, tm, None, None, str(exc)))
-    return versions
-
-
-def _explore_pool(source, sizes, domain, machine, grid, base,
-                  measure, backend, workers, pool) -> List[Version]:
-    from repro.serve.pool import WorkerPool
-    own_pool = pool is None
-    pool = pool if pool is not None else WorkerPool(workers)
-    try:
-        tasks = pool.map("explore", [
-            {"source": source, "sizes": sizes, "domain": domain,
-             "machine": machine,
-             "options": candidate_options(bm, tm, base),
-             "block_merge": bm, "thread_merge": tm,
-             "measure": measure, "backend": backend}
-            for bm, tm in grid])
-        versions = []
-        for (bm, tm), task in zip(grid, tasks):
-            record = task.result()
-            versions.append(Version(
-                bm, tm, None, record["estimate"], record["error"],
-                measured_s=record["measured_s"],
-                profile=record["profile"],
-                source_text=record["source_text"]))
-        return versions
-    finally:
-        if own_pool:
-            pool.close()
 
 
 def _options_overrides(options: CompileOptions) -> Dict[str, object]:
@@ -271,36 +270,28 @@ def _options_overrides(options: CompileOptions) -> Dict[str, object]:
     return out
 
 
-def _explore_remote(source, sizes, domain, machine, grid, base,
-                    remote) -> List[Version]:
-    from repro.serve.client import ServeClient, ServeUnavailable
-    client = remote if hasattr(remote, "compile") else ServeClient(remote)
-    versions: List[Version] = []
-    for bm, tm in grid:
-        options = candidate_options(bm, tm, base)
-        request = {"source": source,
-                   "sizes": {str(k): int(v) for k, v in sizes.items()},
-                   "domain": [int(domain[0]), int(domain[1])],
-                   "machine": machine.name,
-                   "options": _options_overrides(options)}
-        try:
-            reply = client.compile(request)
-        except ServeUnavailable as exc:
-            versions.append(Version(bm, tm, None, None,
-                                    f"service unavailable: {exc}"))
-            continue
-        if reply.ok:
-            result = reply.payload.get("result") or {}
-            est_dict = dict(result.get("estimate") or {})
-            est = SimpleNamespace(**est_dict) if est_dict else None
-            versions.append(Version(bm, tm, None, est,
-                                    source_text=result.get("source")))
-        else:
-            error = reply.payload.get("error") or {}
-            versions.append(Version(
-                bm, tm, None, None,
-                error.get("message") or f"HTTP {reply.status}"))
-    return versions
+def _remote_candidate(client, task: Dict[str, Any]) -> Version:
+    """One candidate compiled by a compile service, as a :class:`Version`."""
+    from repro.serve.client import ServeUnavailable
+    bm, tm = task["block_merge"], task["thread_merge"]
+    request = {"source": task["source"],
+               "sizes": {str(k): int(v) for k, v in task["sizes"].items()},
+               "domain": [int(d) for d in task["domain"]],
+               "machine": task["machine"].name,
+               "options": _options_overrides(task["options"])}
+    try:
+        reply = client.compile(request)
+    except ServeUnavailable as exc:
+        return Version(bm, tm, None, None, f"service unavailable: {exc}")
+    if not reply.ok:
+        error = reply.payload.get("error") or {}
+        return Version(bm, tm, None, None,
+                       error.get("message") or f"HTTP {reply.status}")
+    result = reply.payload.get("result") or {}
+    estimate = result.get("estimate")
+    return Version(bm, tm, None,
+                   SimpleNamespace(**estimate) if estimate else None,
+                   source_text=result.get("source"))
 
 
 def autotune(source: str, sizes: Dict[str, int], domain: Tuple[int, int],

@@ -3,6 +3,11 @@
 Exit codes follow the repo-wide CLI convention (see README "CLI JSON
 output and exit codes"): 0 = clean, 1 = divergence found, 2 = usage
 error.  ``--json`` emits a single ``repro.fuzz/1`` envelope object.
+
+A campaign is one loop (:func:`_campaign`) over case outcomes.  Locally
+each case is :func:`fuzz_case`, run in-process or, under ``--workers``,
+in :mod:`repro.serve.pool` workers; ``--remote`` posts each generated
+case to a compile service instead.
 """
 
 from __future__ import annotations
@@ -10,9 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 
-from repro.fuzz.corpus import save_case
+from repro.fuzz.corpus import KernelCase, save_case
 from repro.fuzz.grammar import SHAPES, generate_case
 from repro.fuzz.oracle import (
     ORACLE_BACKENDS,
@@ -123,10 +128,7 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
                         help="emit one repro.fuzz/1 JSON object")
     parser.add_argument("--quiet", action="store_true",
                         help="print only the summary line")
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = parser.parse_args(argv)
     if args.count <= 0:
         print("error: --count must be positive", file=sys.stderr)
         return 2
@@ -141,195 +143,158 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
                          check_dataflow=args.dataflow,
                          schedules=args.schedules,
                          schedule_seeds=args.resume_seeds)
-    cases_json = []
+    tasks = [{"seed": args.seed, "index": index, "shape": args.shape,
+              "opts": opts, "reduce": not args.no_reduce,
+              "max_attempts": args.max_reduce_attempts}
+             for index in range(args.count)]
+    if args.remote:
+        from repro.serve.client import ServeClient
+        client = ServeClient(args.remote)
+        return _campaign(args, (_remote_case(client, args, task)
+                                for task in tasks))
+    if args.workers > 0:
+        # Reduction runs inside the workers; corpus writes stay here.
+        from repro.serve.pool import WorkerPool
+        with WorkerPool(args.workers) as pool:
+            return _campaign(args, (t.result()
+                                    for t in pool.map("fuzz", tasks)))
+    return _campaign(args, map(fuzz_case, tasks))
+
+
+class CaseOutcome(NamedTuple):
+    """One case's verdict, wherever the case ran."""
+
+    status: str                         # 'ok' | 'rejected' | 'divergent'
+    entry: Dict[str, Any]               # its repro.fuzz/1 envelope entry
+    report: List[str]                   # text lines for a divergent case
+    reproducer: Optional[KernelCase]    # corpus case to write, if any
+
+
+def fuzz_case(task: Dict[str, Any]) -> CaseOutcome:
+    """Generate, oracle-check and (when divergent) reduce one case.
+
+    The one per-case step of a local campaign: the serial campaign maps
+    it in-process, and ``--workers`` runs it as the pool's ``"fuzz"``
+    task kind.  ``task`` holds ``seed``, ``index``, ``shape``, ``opts``
+    (:class:`OracleOptions`), ``reduce`` and ``max_attempts``.
+    """
+    case = generate_case(task["seed"], task["index"], shape=task["shape"])
+    opts = task["opts"]
+    result = run_case(case, opts)
+    entry = result.to_dict()
+    entry["lines"] = source_lines(case)
+    if result.status != "divergent":
+        return CaseOutcome(result.status, entry, [], None)
+    divergences = [d.render() for d in result.divergences]
+    report = [f"DIVERGENCE {case.name} ({case.origin})"]
+    report += [f"  {line}" for line in divergences]
+    reduced = case
+    if task["reduce"]:
+        reduced, spent = reduce_case(case, opts,
+                                     max_attempts=task["max_attempts"],
+                                     base_result=result)
+        entry["reduced"] = {
+            "source": reduced.source,
+            "sizes": dict(reduced.sizes),
+            "domain": list(reduced.domain),
+            "lines": source_lines(reduced),
+            "oracle_runs": spent,
+        }
+        report.append(f"  reduced to {source_lines(reduced)} line(s) in "
+                      f"{spent} oracle run(s):")
+        report += [f"    {line}"
+                   for line in reduced.source.rstrip().splitlines()]
+    reduced.note = "fuzzer-found divergence: " + "; ".join(divergences)
+    return CaseOutcome("divergent", entry, report, reduced)
+
+
+def _remote_case(client, args, task: Dict[str, Any]) -> CaseOutcome:
+    """Post one generated case to a compile service (``--remote``).
+
+    This checks the service's *robustness*, not correctness: the local
+    differential oracle cannot see inside a remote daemon.  Any
+    definitive answer is fine (200 = ok, 4xx = rejected); the only
+    "divergence" is the service failing its availability contract — a
+    5xx, or staying unreachable through the retrying client's whole
+    backoff budget.  No reproducer is written.
+    """
+    from repro.serve.client import ServeUnavailable
+    case = generate_case(task["seed"], task["index"], shape=task["shape"])
+    entry: Dict[str, Any] = {"name": case.name, "origin": case.origin,
+                             "remote": args.remote}
+    try:
+        reply = client.compile({
+            "source": case.source,
+            "sizes": {str(k): int(v) for k, v in case.sizes.items()},
+            "domain": list(case.domain),
+            "machine": args.machine,
+        })
+        entry["http_status"] = reply.status
+        entry["attempts"] = reply.attempts
+        entry["cache"] = reply.cache
+        if reply.ok:
+            status = "ok"
+        else:
+            status = "rejected" if 400 <= reply.status < 500 else "divergent"
+            entry["error"] = reply.payload.get("error")
+    except ServeUnavailable as exc:
+        status = "divergent"
+        entry["error"] = {"type": "ServeUnavailable", "message": str(exc),
+                          "attempts": exc.attempts}
+    entry["status"] = status
+    report = ([f"SERVICE FAILURE {case.name}: {entry['error']}"]
+              if status == "divergent" else [])
+    return CaseOutcome(status, entry, report, None)
+
+
+def _campaign(args, outcomes: Iterable[CaseOutcome]) -> int:
+    """The one loop over case outcomes: counts, text output, corpus
+    writes and envelope entries, then the summary.
+
+    ``outcomes`` is lazy, so a Ctrl-C (or a ``ScheduleInterrupted`` from
+    inside a ``--schedules`` case) still flushes a valid partial
+    envelope, marked ``interrupted``, instead of dying with a traceback.
+    """
+    def say(*lines: str) -> None:
+        if not (args.as_json or args.quiet):
+            for line in lines:
+                print(line)
+
+    cases_json: List[Dict[str, Any]] = []
     counts = {"ok": 0, "rejected": 0, "divergent": 0}
     divergent_names = []
-    interrupted = False
-    completed = 0
-    if args.remote:
-        completed, interrupted = _run_remote(
-            args, cases_json, counts, divergent_names)
-        return _finish(args, cases_json, counts, divergent_names,
-                       interrupted, completed)
-    if args.workers > 0:
-        completed, interrupted = _run_parallel(
-            args, opts, cases_json, counts, divergent_names)
-        return _finish(args, cases_json, counts, divergent_names,
-                       interrupted, completed)
-    for index in range(args.count):
-        # A long campaign interrupted with Ctrl-C still flushes a valid
-        # partial envelope (marked "interrupted") instead of dying with a
-        # traceback and no artifact.
-        try:
-            case = generate_case(args.seed, index, shape=args.shape)
-            result = run_case(case, opts)
-            counts[result.status] += 1
-            entry = result.to_dict()
-            entry["lines"] = source_lines(case)
-            if result.status == "divergent":
-                divergent_names.append(case.name)
-                if not args.as_json and not args.quiet:
-                    print(f"DIVERGENCE {case.name} ({case.origin})")
-                    for d in result.divergences:
-                        print(f"  {d.render()}")
-                reduced = case
-                if not args.no_reduce:
-                    reduced, spent = reduce_case(
-                        case, opts, max_attempts=args.max_reduce_attempts,
-                        base_result=result)
-                    entry["reduced"] = {
-                        "source": reduced.source,
-                        "sizes": dict(reduced.sizes),
-                        "domain": list(reduced.domain),
-                        "lines": source_lines(reduced),
-                        "oracle_runs": spent,
-                    }
-                    if not args.as_json and not args.quiet:
-                        print(f"  reduced to {source_lines(reduced)} "
-                              f"line(s) in {spent} oracle run(s):")
-                        for line in reduced.source.rstrip().splitlines():
-                            print(f"    {line}")
-                if not args.no_write:
-                    reduced.note = ("fuzzer-found divergence: "
-                                    + "; ".join(d.render()
-                                                for d in result.divergences))
-                    path = save_case(reduced, args.corpus_dir)
-                    entry["corpus_path"] = path
-                    if not args.as_json and not args.quiet:
-                        print(f"  wrote reproducer to {path}")
-            cases_json.append(entry)
-            completed = index + 1
-        except ScheduleInterrupted as exc:
-            # Ctrl-C landed inside a --schedules campaign: flush the
-            # in-flight case with the seed split so the campaign resumes
-            # with --resume-seeds <pending>.
-            entry = exc.result.to_dict()
-            entry["interrupted_stage"] = exc.stage
-            entry["completed_schedule_seeds"] = list(exc.completed_seeds)
-            entry["pending_schedule_seeds"] = list(exc.pending_seeds)
-            cases_json.append(entry)
-            if not args.as_json:
-                pending = ",".join(str(s) for s in exc.pending_seeds)
-                print(f"interrupted during schedule campaign at stage "
-                      f"{exc.stage!r}; resume with --resume-seeds {pending}",
-                      file=sys.stderr)
-            interrupted = True
-            break
-        except KeyboardInterrupt:
-            interrupted = True
-            break
-
-    return _finish(args, cases_json, counts, divergent_names,
-                   interrupted, completed)
-
-
-def _run_parallel(args, opts, cases_json, counts, divergent_names):
-    """Fan the campaign out over a repro.serve worker pool.
-
-    Each worker generates, oracle-checks, and (when divergent) reduces
-    one case; the parent aggregates envelope entries in index order and
-    keeps corpus writes single-writer.  Ctrl-C abandons in-flight cases
-    (no per-seed schedule resume in parallel mode) but still flushes the
-    partial envelope.
-    """
-    from repro.fuzz.corpus import KernelCase
-    from repro.serve.pool import WorkerPool
-
     completed = 0
     interrupted = False
-    with WorkerPool(args.workers) as pool:
-        tasks = pool.map("fuzz", [
-            {"seed": args.seed, "index": index, "shape": args.shape,
-             "opts": opts, "reduce": not args.no_reduce,
-             "max_attempts": args.max_reduce_attempts}
-            for index in range(args.count)])
-        for task in tasks:
-            try:
-                out = task.result()
-            except KeyboardInterrupt:
-                interrupted = True
-                break
-            counts[out["status"]] += 1
-            entry = out["entry"]
-            if out["status"] == "divergent":
-                divergent_names.append(out["name"])
-                if not args.as_json and not args.quiet:
-                    print(f"DIVERGENCE {out['name']}")
-                    for line in out["divergences"]:
-                        print(f"  {line}")
-                if not args.no_write:
-                    written = KernelCase.from_dict(
-                        out["reduced_case"] or out["case"])
-                    written.note = ("fuzzer-found divergence: "
-                                    + "; ".join(out["divergences"]))
-                    path = save_case(written, args.corpus_dir)
+    try:
+        for outcome in outcomes:
+            counts[outcome.status] += 1
+            entry = outcome.entry
+            if outcome.status == "divergent":
+                divergent_names.append(entry["name"])
+                say(*outcome.report)
+                if outcome.reproducer is not None and not args.no_write:
+                    path = save_case(outcome.reproducer, args.corpus_dir)
                     entry["corpus_path"] = path
-                    if not args.as_json and not args.quiet:
-                        print(f"  wrote reproducer to {path}")
+                    say(f"  wrote reproducer to {path}")
             cases_json.append(entry)
             completed += 1
-    return completed, interrupted
+    except ScheduleInterrupted as exc:
+        # Flush the in-flight case with the seed split so the campaign
+        # resumes with --resume-seeds <pending>.
+        entry = exc.result.to_dict()
+        entry["interrupted_stage"] = exc.stage
+        entry["completed_schedule_seeds"] = list(exc.completed_seeds)
+        entry["pending_schedule_seeds"] = list(exc.pending_seeds)
+        cases_json.append(entry)
+        if not args.as_json:
+            pending = ",".join(str(s) for s in exc.pending_seeds)
+            print(f"interrupted during schedule campaign at stage "
+                  f"{exc.stage!r}; resume with --resume-seeds {pending}",
+                  file=sys.stderr)
+        interrupted = True
+    except KeyboardInterrupt:
+        interrupted = True
 
-
-def _run_remote(args, cases_json, counts, divergent_names):
-    """Fuzz a running compile service for *robustness*, not correctness.
-
-    The local differential oracle cannot see inside a remote daemon, so
-    the verdicts shift: any definitive answer is fine (200 = ok, 4xx =
-    rejected), and the only "divergence" is the service failing to hold
-    up its availability contract — a 5xx, or staying unreachable through
-    the retrying client's whole backoff budget.
-    """
-    from repro.serve.client import ServeClient, ServeUnavailable
-
-    client = ServeClient(args.remote)
-    completed = 0
-    interrupted = False
-    for index in range(args.count):
-        try:
-            case = generate_case(args.seed, index, shape=args.shape)
-            entry = {"name": case.name, "origin": case.origin,
-                     "remote": args.remote}
-            try:
-                reply = client.compile({
-                    "source": case.source,
-                    "sizes": {str(k): int(v)
-                              for k, v in case.sizes.items()},
-                    "domain": list(case.domain),
-                    "machine": args.machine,
-                })
-                entry["http_status"] = reply.status
-                entry["attempts"] = reply.attempts
-                entry["cache"] = reply.cache
-                if reply.ok:
-                    status = "ok"
-                elif 400 <= reply.status < 500:
-                    status = "rejected"
-                    entry["error"] = reply.payload.get("error")
-                else:
-                    status = "divergent"
-                    entry["error"] = reply.payload.get("error")
-            except ServeUnavailable as exc:
-                status = "divergent"
-                entry["error"] = {"type": "ServeUnavailable",
-                                  "message": str(exc),
-                                  "attempts": exc.attempts}
-            entry["status"] = status
-            counts[status] += 1
-            if status == "divergent":
-                divergent_names.append(case.name)
-                if not args.as_json and not args.quiet:
-                    print(f"SERVICE FAILURE {case.name}: {entry['error']}")
-            cases_json.append(entry)
-            completed = index + 1
-        except KeyboardInterrupt:
-            interrupted = True
-            break
-    return completed, interrupted
-
-
-def _finish(args, cases_json, counts, divergent_names,
-            interrupted, completed):
     exit_code = 1 if counts["divergent"] else (130 if interrupted else 0)
     summary = {
         "cases": args.count,

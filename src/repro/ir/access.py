@@ -15,7 +15,7 @@ from typing import (Dict, List, Mapping, Optional, Sequence, Set, Tuple,
 
 import numpy as np
 
-from repro.lang.arith import c_div, c_mod
+from repro.lang.arith import c_div, c_mod, c_shl, c_shr
 from repro.lang.astnodes import (
     ArrayRef,
     AssignStmt,
@@ -186,7 +186,7 @@ class AccessInfo:
 
 _INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
             "/": c_div, "%": c_mod,
-            "<<": operator.lshift, ">>": operator.rshift,
+            "<<": c_shl, ">>": c_shr,
             "&": operator.and_, "|": operator.or_, "^": operator.xor}
 
 

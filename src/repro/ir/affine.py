@@ -102,9 +102,6 @@ class AffineExpr:
     def depends_on(self, name: str) -> bool:
         return name in self.terms
 
-    def depends_on_any(self, names: Iterable[str]) -> bool:
-        return any(n in self.terms for n in names)
-
     def evaluate(self, bindings: Mapping[str, int]) -> int:
         """Evaluate with every term bound; raises KeyError if one is free.
 

@@ -255,11 +255,3 @@ def rd_cublas(n_elements: int, machine: GpuSpec) -> CompiledReduction:
                              stage2=stage2, n_elements=n_elements,
                              machine=machine,
                              log=["baseline: cublasSasum-style reduction"])
-
-
-def get_baseline(name: str) -> Baseline:
-    try:
-        return BASELINES[name]
-    except KeyError:
-        raise KeyError(f"unknown baseline {name!r}; available: "
-                       f"{sorted(BASELINES)}") from None

@@ -1,13 +1,14 @@
-"""C ``/`` and ``%`` of the kernel language, defined once.
+"""C ``/``, ``%``, ``<<`` and ``>>`` of the kernel language, defined once.
 
-Both operators are polymorphic over Python scalars and NumPy arrays, so
+The operators are polymorphic over Python scalars and NumPy arrays, so
 the scalar simulators (``sim/values.py``), the lane backend
 (``sim/vectorized.py``), the dataflow transfer functions and the address
 evaluator (``ir/access.py``) all divide the same way: an integer quotient
 truncates toward zero, the remainder takes the sign of the dividend, and
 any zero divisor raises ``ZeroDivisionError``.  A caller that holds
 values it does not mean to divide (the lane backend's inactive lanes)
-replaces those divisors first.
+replaces those divisors first.  The shifts cast both operands to
+``int`` first (:func:`c_int`, toward zero), and ``>>`` is arithmetic.
 
 This is a leaf module: it imports NumPy and nothing of ``repro``.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["c_div", "c_mod"]
+__all__ = ["c_div", "c_int", "c_mod", "c_shl", "c_shr"]
 
 
 def _integral(value) -> bool:
@@ -50,3 +51,21 @@ def c_mod(a, b):
             or _integral(a) and _integral(b):
         return a - c_div(a, b) * b
     raise TypeError("'%' requires integer operands in the kernel language")
+
+
+def c_int(value):
+    """C cast to ``int``: toward zero; an integer array passes through."""
+    if isinstance(value, np.ndarray):
+        return value if value.dtype.kind == "i" \
+            else np.trunc(value).astype(np.int64)
+    return int(value)
+
+
+def c_shl(a, b):
+    """C ``a << b`` on the ``int`` casts of its operands."""
+    return c_int(a) << c_int(b)
+
+
+def c_shr(a, b):
+    """C ``a >> b`` on the ``int`` casts of its operands (arithmetic)."""
+    return c_int(a) >> c_int(b)

@@ -94,8 +94,3 @@ class ArrayType(Type):
     def __str__(self) -> str:
         dims = "".join(f"[{d}]" for d in self.dims)
         return f"{self.elem}{dims}"
-
-
-def scalar_from_keyword(text: str) -> ScalarType:
-    """Map a type-keyword spelling to its :class:`ScalarType`."""
-    return ScalarType(text)

@@ -213,10 +213,6 @@ class KernelProfile:
     def to_envelope(self, **meta) -> Dict[str, object]:
         return make_envelope(PROFILE_SCHEMA, **meta, profile=self.to_dict())
 
-    def counters_equal(self, other: "KernelProfile") -> bool:
-        """Bit-for-bit counter agreement (ignoring which backend ran)."""
-        return self.counters_dict() == other.counters_dict()
-
     def first_mismatch(self, other: "KernelProfile") -> Optional[str]:
         """Dotted path + values of the first differing counter, or None."""
         return _first_diff(self.counters_dict(), other.counters_dict(), "")

@@ -176,10 +176,7 @@ def trace_view_main(argv: Optional[List[str]] = None) -> int:
                              "output; used by the golden test)")
     parser.add_argument("--json", action="store_true",
                         help="emit the tree as JSON instead of text")
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = parser.parse_args(argv)
 
     collector = TraceCollector(args.traces)
     if args.list:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.lang.astnodes import ArrayRef, AssignStmt, ForStmt, Kernel, Stmt
+from repro.lang.astnodes import ForStmt, Kernel, Stmt
 from repro.machine import GTX280, GpuSpec
 from repro.obs.trace import Tracer
 
@@ -150,10 +150,3 @@ class Pass:
             if self.site and ctx.faults is not None:
                 ctx.faults.check_raise(self.site)
             self.run(ctx)
-
-
-def is_g2s_stmt(stmt: Stmt, shared_names) -> bool:
-    """Is ``stmt`` a global-to-shared-memory load (G2S, Section 3.3)?"""
-    return (isinstance(stmt, AssignStmt)
-            and isinstance(stmt.target, ArrayRef)
-            and stmt.target.base.name in shared_names)

@@ -14,12 +14,11 @@ reduce to coefficient arithmetic (see :class:`Verdict`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from repro.ir.access import AccessInfo
 from repro.ir.affine import AffineExpr
 from repro.ir.segments import SEGMENT_ELEMS
-from repro.passes.base import CompilationContext, Pass
 
 # Thread ids other than the X-direction ones; their coefficients must keep
 # the base segment-aligned because they are constant within a half warp but
@@ -38,14 +37,6 @@ class Verdict:
     def __repr__(self) -> str:
         state = "coalesced" if self.coalesced else "NOT coalesced"
         return f"<{self.access}: {state} ({self.reason})>"
-
-
-def thread_coefficient(address: AffineExpr) -> int:
-    """Address change per thread within a half warp (elements).
-
-    Within a warp only the X-direction ids vary: ``tidx`` by 1 and ``idx``
-    by 1 (``idx = bidx*bdimx + tidx``)."""
-    return address.coeff("tidx") + address.coeff("idx")
 
 
 def check_access(access: AccessInfo,
@@ -140,25 +131,3 @@ def _check_by_evaluation(access: AccessInfo) -> Verdict:
                            "threads do not access consecutive words")
     return Verdict(access, True,
                    "16 consecutive, aligned words (by evaluation)")
-
-
-def check_accesses(accesses: List[AccessInfo]) -> List[Verdict]:
-    """Verdicts for every *global* access in the list."""
-    return [check_access(a) for a in accesses if a.space == "global"]
-
-
-class CoalesceCheckPass(Pass):
-    """Analysis pass: records verdicts in the context log."""
-
-    name = "coalesce-check"
-
-    def __init__(self):
-        self.verdicts: List[Verdict] = []
-
-    def run(self, ctx: CompilationContext) -> None:
-        from repro.ir.access import collect_accesses
-        accesses = collect_accesses(ctx.kernel, ctx.sizes)
-        self.verdicts = check_accesses(accesses)
-        for v in self.verdicts:
-            ctx.note(f"coalescing: {v!r}", rule="coalesce.verdict",
-                     stmt=v.access.ref, coalesced=v.coalesced)

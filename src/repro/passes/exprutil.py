@@ -7,7 +7,7 @@ helpers keep emitted index expressions clean (constant folding, dropping
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from repro.lang.astnodes import Binary, Expr, Ident, IntLit, Unary
 from repro.ir.affine import AffineExpr
@@ -84,12 +84,3 @@ def affine_to_expr(form: AffineExpr,
     if form.const:
         expr = add(expr, intlit(form.const))
     return expr
-
-
-def subst_affine(expr_form: AffineExpr,
-                 replacements: Mapping[str, AffineExpr]) -> AffineExpr:
-    """Apply several term substitutions to an affine form."""
-    out = expr_form
-    for name, repl in replacements.items():
-        out = out.substitute(name, repl)
-    return out

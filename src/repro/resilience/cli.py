@@ -180,10 +180,7 @@ def resilience_main(argv: Optional[List[str]] = None) -> int:
                         help="emit one repro.resilience/1 JSON object")
     parser.add_argument("--quiet", action="store_true",
                         help="print only the summary line")
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = parser.parse_args(argv)
 
     names = list(args.kernels) or list(DEFAULT_KERNELS)
     unknown = [n for n in names if n not in ALGORITHMS]

@@ -495,7 +495,9 @@ class CompileService:
                 self._m_errors.labels(**{"class": err_class}).inc()
             return flight.payload, "error"
 
-        # Leader: compile, publish to waiters, maybe persist.
+        # Leader: compile, publish to waiters, persist, and only then
+        # retire the flight — a request arriving before the store write
+        # lands must still find the flight, or it would compile again.
         try:
             payload, cacheable = self._compile(key, source, sizes, domain,
                                                mach, options, profile,
@@ -515,12 +517,16 @@ class CompileService:
             with self._lock:
                 flight.payload = payload
                 flight.cacheable = cacheable
-                del self._inflight[key]
             flight.done.set()
+            try:
+                if cacheable:
+                    with tracer.span("store.put"):
+                        self.store.put(key, payload)
+                        self.store.maybe_gc()
+            finally:
+                with self._lock:
+                    del self._inflight[key]
         if cacheable:
-            with tracer.span("store.put"):
-                self.store.put(key, payload)
-                self.store.maybe_gc()
             self._scan_resilience(payload)
             outcome["verdict"] = "miss"
             return payload, "miss"
@@ -921,10 +927,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
                              "only)")
     parser.add_argument("--verbose", action="store_true",
                         help="log each HTTP request to stderr")
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = parser.parse_args(argv)
 
     store = ArtifactStore(args.store,
                           max_bytes=args.store_max_bytes,

@@ -22,16 +22,19 @@ is dropped before it starts, and a task still *running* past it has its
 worker SIGKILLed and respawned (the same path a crashed worker takes);
 both complete the task as a structured ``timeout``.
 
-Task kinds are a small registry of module-level handlers (picklable
-under any start method): ``compile`` builds the ``repro.serve/1``
-artifact payload, ``explore`` compiles one design-space candidate,
-``fuzz`` runs one differential-fuzzer case, and ``sleep`` exists for the
-chaos tests to hold a worker hostage.
+Task kinds are a small registry of handlers, looked up by name in the
+worker (so nothing but the kind and payload is pickled): ``compile``
+builds the ``repro.serve/1`` artifact payload, ``explore`` is
+:func:`repro.explore.explore_candidate` and ``fuzz`` is
+:func:`repro.fuzz.cli.fuzz_case` (each campaign's one per-item
+function, imported on first use), and ``sleep`` exists for the chaos
+tests to hold a worker hostage.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import multiprocessing
 import os
 import queue
@@ -106,66 +109,6 @@ def _handle_compile(payload: Dict[str, Any]) -> Dict[str, Any]:
     return build_compile_artifact(payload)
 
 
-def _handle_explore(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Compile + score one design-space candidate (see repro.explore)."""
-    from repro.compiler import compile_kernel
-    from repro.explore import measure_compiled, profile_compiled
-    from repro.passes.base import PassError
-    from repro.sim.perf import estimate_compiled
-
-    record: Dict[str, Any] = {"block_merge": payload["block_merge"],
-                              "thread_merge": payload["thread_merge"],
-                              "error": None, "estimate": None,
-                              "measured_s": None, "profile": None,
-                              "source_text": None}
-    try:
-        compiled = compile_kernel(payload["source"], payload["sizes"],
-                                  payload["domain"], payload["machine"],
-                                  payload["options"])
-        record["estimate"] = estimate_compiled(compiled)
-        record["source_text"] = compiled.source
-        if payload.get("measure") == "sim":
-            record["measured_s"] = measure_compiled(
-                compiled, backend=payload.get("backend"))
-            record["profile"] = profile_compiled(
-                compiled, backend=payload.get("backend")).to_dict()
-    except PassError as exc:
-        record["error"] = str(exc)
-    return record
-
-
-def _handle_fuzz(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Generate and oracle-check one fuzz case (optionally reduced)."""
-    from repro.fuzz.grammar import generate_case
-    from repro.fuzz.oracle import run_case
-    from repro.fuzz.reduce import reduce_case, source_lines
-
-    case = generate_case(payload["seed"], payload["index"],
-                         shape=payload.get("shape"))
-    opts = payload["opts"]
-    result = run_case(case, opts)
-    entry = result.to_dict()
-    entry["lines"] = source_lines(case)
-    out: Dict[str, Any] = {"status": result.status, "entry": entry,
-                           "name": case.name, "case": case.to_dict(),
-                           "divergences": [d.render()
-                                           for d in result.divergences],
-                           "reduced_case": None}
-    if result.status == "divergent" and payload.get("reduce", True):
-        reduced, spent = reduce_case(
-            case, opts, max_attempts=payload.get("max_attempts", 250),
-            base_result=result)
-        entry["reduced"] = {
-            "source": reduced.source,
-            "sizes": dict(reduced.sizes),
-            "domain": list(reduced.domain),
-            "lines": source_lines(reduced),
-            "oracle_runs": spent,
-        }
-        out["reduced_case"] = reduced.to_dict()
-    return out
-
-
 def _handle_sleep(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Chaos-test helper: sleep (first visit) or return immediately.
 
@@ -183,12 +126,21 @@ def _handle_sleep(payload: Dict[str, Any]) -> Dict[str, Any]:
     return {"status": "slept", "pid": os.getpid()}
 
 
-HANDLERS: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
+def _imported(module: str, name: str) -> Callable[[Dict[str, Any]], Any]:
+    """A handler that imports ``module`` only when a task calls it, so
+    the pool itself stays free of the compiler, explore and fuzz."""
+    def handler(payload: Dict[str, Any]) -> Any:
+        return getattr(importlib.import_module(module), name)(payload)
+    return handler
+
+
+HANDLERS: Dict[str, Callable[[Dict[str, Any]], Any]] = {
     "compile": _handle_compile,
-    "explore": _handle_explore,
-    "fuzz": _handle_fuzz,
+    "explore": _imported("repro.explore", "explore_candidate"),
+    "fuzz": _imported("repro.fuzz.cli", "fuzz_case"),
     "sleep": _handle_sleep,
 }
+
 
 def _worker_main(conn) -> None:
     """The worker process loop: recv (kind, payload), send (status, out).

@@ -542,10 +542,7 @@ def serve_gc_main(argv: Optional[List[str]] = None) -> int:
                              "(corrupt ones are evicted)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the sweep report as JSON")
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = parser.parse_args(argv)
     if args.max_bytes is None and args.max_entries is None:
         print("error: give --max-bytes and/or --max-entries",
               file=sys.stderr)

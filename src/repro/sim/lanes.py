@@ -9,9 +9,10 @@ thread of the launch.  A ``float2``/``float4`` is always per lane
 
 This module is what the scalar table cannot do to an array: the casts,
 the operators whose scalar definition branches on its operands
-(comparisons, ``!``, the bitwise group), and the builtin functions.
-``+ - * / %`` need nothing here — ``operator.add`` and friends and the C
-division of :mod:`repro.lang.arith` are polymorphic already.
+(comparisons, ``!``, ``& | ^``), and the builtin functions.
+``+ - * / % << >>`` need nothing here — ``operator.add`` and friends and
+the C division, shifts and ``int`` cast of :mod:`repro.lang.arith` are
+polymorphic already.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Callable, Dict, List, Optional, Union
 import numpy as np
 from numpy import ndarray
 
+from repro.lang.arith import c_int as as_int
 from repro.sim.core import KernelRuntimeError
 
 
@@ -44,14 +46,6 @@ class LaneVec:
 Mask = Optional[ndarray]
 #: Uniform (a Python scalar), varying (``N`` lanes) or a per-lane vector.
 Value = Union[int, float, ndarray, LaneVec]
-
-
-def as_int(value):
-    """C cast to int: toward zero."""
-    if type(value) is ndarray:
-        return value if value.dtype.kind == "i" \
-            else np.trunc(value).astype(np.int64)
-    return int(value)
 
 
 def as_float(value):
@@ -107,7 +101,6 @@ LANE_BINARY: Dict[str, Callable] = {
     "==": _compare(operator.eq), "!=": _compare(operator.ne),
     "&": _bitwise(operator.and_), "|": _bitwise(operator.or_),
     "^": _bitwise(operator.xor),
-    "<<": _bitwise(operator.lshift), ">>": _bitwise(operator.rshift),
 }
 
 LANE_UNARY: Dict[str, Callable] = {

@@ -61,9 +61,6 @@ class PerfEstimate:
     def gflops(self, flops: float) -> float:
         return flops / self.time_s / 1e9 if self.time_s > 0 else 0.0
 
-    def effective_bandwidth_gbps(self, useful_bytes: float) -> float:
-        return useful_bytes / self.time_s / 1e9 if self.time_s > 0 else 0.0
-
 
 def shared_bytes_of(kernel: Kernel, sizes: Mapping[str, int]) -> int:
     from repro.lang.astnodes import DeclStmt, walk_stmts

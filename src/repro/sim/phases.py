@@ -113,10 +113,6 @@ class PhaseSlicing:
         """Does ``loop`` contain a phase-splitting (unconditional) barrier?"""
         return id(loop) in self.phased_loops
 
-    @property
-    def phase_ids(self) -> Set[int]:
-        return {self._find(r) for r in self._phase.values()}
-
 
 class _Slicer:
     def __init__(self, ignore: frozenset = frozenset()) -> None:

@@ -63,10 +63,6 @@ class KernelStats:
     syncs_per_thread: float = 0.0
     global_traffic: List[GlobalTraffic] = field(default_factory=list)
 
-    def transactions_per_thread(self) -> float:
-        return sum(t.execs_per_thread * t.transactions_per_halfwarp
-                   / HALF_WARP * HALF_WARP for t in self.global_traffic)
-
 
 # ---------------------------------------------------------------------------
 # Execution-count estimation

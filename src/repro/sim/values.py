@@ -6,7 +6,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Dict
 
-from repro.lang.arith import c_div, c_mod
+from repro.lang.arith import c_div, c_mod, c_shl, c_shr
 
 
 @dataclass
@@ -62,8 +62,8 @@ BINARY_OPS: Dict[str, Callable] = {
     "&": lambda a, b: int(a) & int(b),
     "|": lambda a, b: int(a) | int(b),
     "^": lambda a, b: int(a) ^ int(b),
-    "<<": lambda a, b: int(a) << int(b),
-    ">>": lambda a, b: int(a) >> int(b),
+    "<<": c_shl,
+    ">>": c_shr,
 }
 
 UNARY_OPS: Dict[str, Callable] = {

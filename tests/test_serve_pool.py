@@ -94,6 +94,17 @@ class TestExploreEquivalence:
                 timeout=60)["status"] == "slept"
 
 
+    def test_pooled_sim_sweep_profiles_match_serial(self):
+        from repro.obs.profile import KernelProfile
+        kwargs = dict(block_factors=(4,), thread_factors=(1, 4),
+                      measure="sim", backend="vectorized")
+        serial = explore(MM_SRC, MM_SIZES, MM_DOMAIN, GTX280, **kwargs)
+        pooled = explore(MM_SRC, MM_SIZES, MM_DOMAIN, GTX280, workers=2,
+                         **kwargs)
+        for vs, vp in zip(serial.versions, pooled.versions):
+            assert isinstance(vp.profile, KernelProfile)
+            assert vp.profile == vs.profile
+
 class TestFuzzEquivalence:
     def _campaign(self, capsys, *extra):
         code = fuzz_main(["--count", "5", "--seed", "7", "--no-write",

@@ -19,6 +19,7 @@ import os
 import socket
 import tempfile
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -269,6 +270,43 @@ class TestConcurrencyStress:
         assert stats["queue_depth"] == 0
         assert stats["inflight"] == 0
         assert stats["counters"]["compiles"] == len(self.UNIQUE)
+
+
+class TestSingleFlightWindow:
+    def test_request_during_leader_store_write_coalesces(self, tmp_path):
+        # A second request for the key lands while the leader is writing
+        # its result to the store: it must join the leader's flight (or
+        # hit the store), never compile a second time.
+        svc = _service(tmp_path)
+        real_put = svc.store.put
+        second = {}
+
+        def put(key, payload, *args, **kwargs):
+            if "thread" not in second:
+                thread = threading.Thread(
+                    target=lambda: second.update(
+                        reply=svc.handle_compile(TP_REQUEST)),
+                    daemon=True)
+                second["thread"] = thread
+                thread.start()
+                deadline = time.monotonic() + 60
+                while (svc.counters["requests"] < 2
+                       and time.monotonic() < deadline):
+                    time.sleep(0.005)
+            return real_put(key, payload, *args, **kwargs)
+
+        svc.store.put = put
+        try:
+            first, status1 = svc.handle_compile(TP_REQUEST)
+            second["thread"].join(timeout=60)
+        finally:
+            svc.close()
+        body2, status2 = second["reply"]
+        assert status1 == "miss"
+        assert status2 == "hit"
+        assert svc.counters["requests"] == 2
+        assert svc.counters["compiles"] == 1
+        assert _json_bytes(first) == _json_bytes(body2)
 
 
 @pytest.fixture(scope="module")
