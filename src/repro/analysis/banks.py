@@ -19,15 +19,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.concrete import (
-    eval_guard,
-    halfwarp_threads,
-    linear_address,
-    loop_values,
-    thread_bindings,
-)
+import numpy as np
+
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.ir.access import AccessInfo, collect_accesses
+from repro.ir.access import (AccessInfo, Axis, block_threads,
+                             collect_accesses, launch_axes)
 from repro.lang.astnodes import Kernel
 from repro.machine import GTX280, GpuSpec
 from repro.sim.timing import bank_serialization
@@ -46,16 +42,15 @@ def _iterator_assignments(acc: AccessInfo, base: Mapping[str, int]
     for info in acc.loops:
         nxt: List[Dict[str, int]] = []
         for partial in out:
-            scope = dict(base)
-            scope.update(partial)
-            vals = loop_values(info, scope, acc.term_defs, cap=_LOOP_CAP,
-                               env=acc.env_forms)
-            if vals is None:
+            sample = info.sample({**base, **partial}, np.ones((), bool),
+                                 _LOOP_CAP, acc.term_defs, acc.env_forms)
+            if sample is None:
                 # Thread-dependent loop start (a staging copy loop like
                 # ``cb = tidx + 16*tidy``): evaluate it per thread later
                 # by leaving the iterator unbound here.
                 continue
-            for v in vals.values:
+            values, valid = sample[:2]
+            for v in values[valid].tolist():
                 combo = dict(partial)
                 combo[info.name] = v
                 nxt.append(combo)
@@ -65,11 +60,6 @@ def _iterator_assignments(acc: AccessInfo, base: Mapping[str, int]
                 break
         out = nxt if nxt else out
     return out
-
-
-def _thread_local_loops(acc: AccessInfo, bound: Sequence[str]
-                        ) -> List[str]:
-    return [info.name for info in acc.loops if info.name not in bound]
 
 
 def check_banks(kernel: Kernel, sizes: Mapping[str, int],
@@ -84,7 +74,7 @@ def check_banks(kernel: Kernel, sizes: Mapping[str, int],
     if accesses is None:
         accesses = collect_accesses(kernel, sizes)
     banks = machine.shared_banks
-    halfwarp = halfwarp_threads(block)
+    halfwarp = block_threads(block, cap=16)
     if len(halfwarp) < 2:
         return []
 
@@ -116,42 +106,34 @@ def _worst_degree(acc: AccessInfo, block: Tuple[int, int],
         "tidx": 0, "tidy": 0,
     }
     block_env.update(acc.sizes)
-    assignments = _iterator_assignments(acc, block_env)
-    bound = assignments[0].keys() if assignments else ()
-    free = _thread_local_loops(acc, tuple(bound))
-
-    worst: Optional[int] = None
-    for common in assignments[:_ASSIGN_CAP]:
-        addrs: List[int] = []
-        for (tx, ty) in halfwarp:
-            bind = thread_bindings(block, grid, tx, ty)
-            bind.update(acc.sizes)
-            bind.update(common)
-            for name in free:
-                # thread-dependent copy-loop iterator: take its first
-                # value for this thread (one representative issue)
-                info = acc.loop(name)
-                vals = (loop_values(info, bind, acc.term_defs, cap=1,
-                                    env=acc.env_forms)
-                        if info is not None else None)
-                if vals is None or not vals.values:
-                    break
-                bind[name] = vals.values[0]
-            else:
-                active = True
-                for g in acc.guards:
-                    truth = eval_guard(g, bind, acc.term_defs,
-                                       acc.env_forms)
-                    if truth is False:
-                        active = False
-                        break
-                if not active:
-                    continue
-                addr = linear_address(acc, bind)
-                if addr is not None:
-                    addrs.append(addr)
-        if len(addrs) >= 2:
-            degree = bank_serialization(addrs, banks)
-            if worst is None or degree > worst:
-                worst = degree
-    return worst
+    assignments = _iterator_assignments(acc, block_env)[:_ASSIGN_CAP]
+    # One point per (assignment, half-warp thread), assignments outermost.
+    rows = np.repeat(np.arange(len(assignments)), len(halfwarp))
+    bind: Dict[str, Axis] = {
+        **launch_axes(block, grid, halfwarp * len(assignments)), **acc.sizes}
+    for name in assignments[0]:
+        bind[name] = np.array([a[name] for a in assignments])[rows]
+    live = np.ones(rows.shape, bool)
+    for info in acc.loops:
+        if info.name in bind:
+            continue
+        # thread-dependent copy-loop iterator: take its first value for
+        # each thread (one representative issue)
+        sample = info.sample(bind, live, 1, acc.term_defs, acc.env_forms)
+        if sample is None or not sample[1].any():
+            return None
+        values, valid = sample[:2]
+        live = live & valid.any(-1)
+        bind[info.name] = np.take_along_axis(
+            values, np.argmax(valid, -1)[:, None], -1)[:, 0]
+    sweep = acc.sweep({name: value[live] if isinstance(value, np.ndarray)
+                       else value for name, value in bind.items()},
+                      _LOOP_CAP)
+    if sweep.address is None:
+        return None
+    rows = rows[live][sweep.active]
+    addrs = sweep.address[sweep.active]
+    degrees = [bank_serialization(addrs[rows == row].tolist(), banks)
+               for row in range(len(assignments))
+               if np.count_nonzero(rows == row) >= 2]
+    return max(degrees, default=None)

@@ -22,15 +22,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.concrete import (
-    Coverage,
-    block_threads,
-    index_values,
-    iter_access_bindings,
-    thread_bindings,
-)
+import numpy as np
+
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.ir.access import AccessInfo, collect_accesses
+from repro.ir.access import (AccessInfo, block_threads, collect_accesses,
+                             launch_axes)
 from repro.ir.affine import AffineExpr
 from repro.lang.astnodes import Kernel
 
@@ -136,41 +132,38 @@ def _check_access(acc: AccessInfo, block: Tuple[int, int],
     if _interval_clean(acc, ranges):
         return None
 
-    # Tier 2: concrete, guard-filtered witness search.
-    non_affine = any(f is None for f in acc.index_forms)
-    cov = Coverage()
-    for (bidx, bidy) in _corner_blocks(grid):
-        for (tx, ty) in _boundary_threads(block, everywhere=non_affine):
-            base = thread_bindings(block, grid, tx, ty, bidx, bidy)
-            for bind in iter_access_bindings(acc, base, cov,
-                                             loop_cap=_LOOP_CAP):
-                values = index_values(acc, bind)
-                if values is None:
-                    cov.evaluated = False
-                    continue
-                for dim, (value, extent) in enumerate(
-                        zip(values, acc.dims)):
-                    if value < 0 or value >= extent:
-                        kind = ("store to" if acc.is_store
-                                else "load from")
-                        return Diagnostic(
-                            analysis="bounds", severity=Severity.ERROR,
-                            message=(f"out-of-bounds {kind} "
-                                     f"{acc.space} array {acc.array!r}: "
-                                     f"index {value} of dimension {dim} "
-                                     f"exceeds extent {extent} (thread "
-                                     f"({tx}, {ty}) of block ({bidx}, "
-                                     f"{bidy}))"),
-                            kernel=kernel_name, stage=stage,
-                            array=acc.array, stmt=acc.stmt,
-                            details={"dimension": dim, "index": value,
-                                     "extent": extent,
-                                     "thread": [tx, ty],
-                                     "block": [bidx, bidy],
-                                     "indices": values})
+    # Tier 2: guard-filtered witness search, first witness in the order
+    # blocks, threads, loop samples.
+    blocks = _corner_blocks(grid)
+    threads = _boundary_threads(
+        block, everywhere=any(f is None for f in acc.index_forms))
+    sweep = acc.sweep(launch_axes(block, grid, threads, blocks), _LOOP_CAP)
+    if sweep.indices is not None:
+        outside = np.stack([(index < 0) | (index >= extent) for index, extent
+                            in zip(sweep.indices, acc.dims)], -1)
+        hits = np.argwhere(outside.any(-1) & sweep.active)
+        if hits.size:
+            point = tuple(hits[0])
+            values = [int(index[point]) for index in sweep.indices]
+            dim = int(np.argmax(outside[point]))
+            value, extent = values[dim], acc.dims[dim]
+            tx, ty = threads[point[0] % len(threads)]
+            bidx, bidy = blocks[point[0] // len(threads)]
+            kind = "store to" if acc.is_store else "load from"
+            return Diagnostic(
+                analysis="bounds", severity=Severity.ERROR,
+                message=(f"out-of-bounds {kind} {acc.space} array "
+                         f"{acc.array!r}: index {value} of dimension {dim} "
+                         f"exceeds extent {extent} (thread ({tx}, {ty}) of "
+                         f"block ({bidx}, {bidy}))"),
+                kernel=kernel_name, stage=stage, array=acc.array,
+                stmt=acc.stmt,
+                details={"dimension": dim, "index": value, "extent": extent,
+                         "thread": [tx, ty], "block": [bidx, bidy],
+                         "indices": values})
 
     # Tier 3: no witness found.
-    if cov.trustworthy:
+    if sweep.trustworthy:
         return None
     return Diagnostic(
         analysis="bounds", severity=Severity.INFO,

@@ -33,14 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.analysis.concrete import (
-    Coverage,
-    block_threads,
-    iter_access_bindings,
-    linear_address,
-    thread_bindings,
-)
-from repro.ir.access import AccessInfo, collect_accesses
+import numpy as np
+
+from repro.ir.access import (AccessInfo, block_threads, collect_accesses,
+                             launch_axes)
 from repro.lang import astnodes as ast
 from repro.lang.builtins import PREDEFINED_IDS
 from repro.sim.phases import PhaseSlicing, slice_phases
@@ -80,24 +76,14 @@ class RemovableBarrier:
 def _enumerate_site(access: AccessInfo, block: Tuple[int, int],
                     grid: Tuple[int, int]) -> AddressSet:
     """All addresses ``access`` touches across block (0, 0)'s threads."""
-    out = AddressSet(access)
     threads = block_threads(block, cap=_THREAD_CAP + 1)
     if len(threads) > _THREAD_CAP:
-        out.exhaustive = False
-        return out
-    for (tx, ty) in threads:
-        base = thread_bindings(block, grid, tx, ty)
-        cov = Coverage()
-        for bind in iter_access_bindings(access, base, cov,
-                                         loop_cap=_LOOP_CAP):
-            addr = linear_address(access, bind)
-            if addr is None:
-                out.exhaustive = False
-                continue
-            out.addresses.add(addr)
-        if not (cov.complete and cov.trustworthy):
-            out.exhaustive = False
-    return out
+        return AddressSet(access, exhaustive=False)
+    sweep = access.sweep(launch_axes(block, grid, threads), _LOOP_CAP)
+    addresses = [] if sweep.address is None \
+        else sweep.address[sweep.active].tolist()
+    return AddressSet(access, set(addresses),
+                      sweep.complete and sweep.trustworthy)
 
 
 def shared_defuse(kernel: ast.Kernel, sizes: Mapping[str, int],
@@ -177,12 +163,9 @@ def _thread_private(name: str, accs: List[AccessInfo],
     threads = block_threads(block, cap=_THREAD_CAP + 1)
     if len(threads) > _THREAD_CAP:
         return None
-    seen: Dict[int, Tuple[int, int]] = {}
-    for (tx, ty) in threads:
-        addr = first.evaluate(thread_bindings(block, grid, tx, ty))
-        if addr in seen:
-            return None
-        seen[addr] = (tx, ty)
+    addrs = accs[0].eval_addresses(launch_axes(block, grid, threads))
+    if np.unique(addrs).size < len(threads):
+        return None
     return (f"{name}: single affine form over launch ids, "
             f"injective across {len(threads)} block threads")
 

@@ -110,11 +110,7 @@ class _Checker:
     def _for(self, stmt: ForStmt) -> None:
         name = stmt.iter_name()
         # The iterator is tainted iff its initializer is.
-        init_expr = None
-        if isinstance(stmt.init, DeclStmt):
-            init_expr = stmt.init.init
-        elif isinstance(stmt.init, AssignStmt):
-            init_expr = stmt.init.value
+        init_expr = stmt.start()
         iter_tainted = init_expr is not None \
             and _expr_tainted(init_expr, self.tainted)
         if name is not None:

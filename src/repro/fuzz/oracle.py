@@ -222,18 +222,6 @@ def reference_config(case: KernelCase,
     return naive_launch(case.domain, machine)
 
 
-def run_reference(kernel: Kernel, case: KernelCase,
-                  arrays: Dict[str, np.ndarray],
-                  machine: GpuSpec = GTX280,
-                  backend: Optional[str] = None) -> Dict[str, np.ndarray]:
-    """Interpret the naive kernel under a plain programmer's launch."""
-    ev = run(kernel, reference_config(case, machine), arrays, case.sizes,
-             backend=backend)
-    if ev.exc is not None:
-        raise ev.exc
-    return ev.outputs
-
-
 # ---------------------------------------------------------------------------
 # The oracle proper
 # ---------------------------------------------------------------------------

@@ -99,9 +99,6 @@ class AffineExpr:
     def term_names(self) -> Iterable[str]:
         return self.terms.keys()
 
-    def depends_on(self, name: str) -> bool:
-        return name in self.terms
-
     def evaluate(self, bindings: Mapping[str, int]) -> int:
         """Evaluate with every term bound; raises KeyError if one is free.
 

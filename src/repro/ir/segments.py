@@ -10,10 +10,11 @@ quantity the timing model charges for, and what the staging transform loads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping
+
+import numpy as np
 
 from repro.ir.access import AccessInfo
-from repro.ir.affine import AffineExpr
 
 HALF_WARP = 16
 SEGMENT_ELEMS = 16  # one segment = 16 32-bit words = 64 bytes
@@ -25,33 +26,6 @@ class Segment:
 
     array: str
     start: int          # element index, multiple of SEGMENT_ELEMS
-
-    @property
-    def end(self) -> int:
-        return self.start + SEGMENT_ELEMS
-
-    def __contains__(self, addr: int) -> bool:
-        return self.start <= addr < self.end
-
-
-def halfwarp_addresses(access: AccessInfo,
-                       bindings: Mapping[str, int]) -> List[int]:
-    """The 16 element addresses issued by a half warp.
-
-    ``bindings`` fixes every non-thread term (block ids, iterators).  The
-    thread position ``t`` in the half warp drives both ``tidx`` and ``idx``
-    (``idx = idx0 + t`` for threads of one warp, per the CUDA thread-id
-    layout the paper describes in Section 2).
-    """
-    if access.address is None:
-        raise ValueError(f"access {access} has no resolved address")
-    addrs = []
-    for t in range(HALF_WARP):
-        local = dict(bindings)
-        local["tidx"] = bindings.get("tidx", 0) + t
-        local["idx"] = bindings.get("idx", 0) + t
-        addrs.append(access.eval_address(local))
-    return addrs
 
 
 def segments_for_addresses(array: str, addrs: Iterable[int],
@@ -75,50 +49,16 @@ def segments_for_addresses(array: str, addrs: Iterable[int],
 
 def segments_for_halfwarp(access: AccessInfo,
                           bindings: Mapping[str, int]) -> List[Segment]:
-    """Segments one half warp touches for ``access`` under ``bindings``."""
-    addrs = halfwarp_addresses(access, bindings)
-    return segments_for_addresses(access.array, addrs, access.elem.lanes)
+    """Segments one half warp touches for ``access`` under ``bindings``.
 
-
-def transactions_per_halfwarp(access: AccessInfo,
-                              bindings: Mapping[str, int]) -> int:
-    """Number of memory transactions one half warp needs (G80 rules).
-
-    A fully coalesced access costs 1; the worst case (16 scattered words)
-    costs 16.  This is what the analytic timing model charges.
+    ``bindings`` fixes every non-thread term (block ids, iterators).  The
+    thread position ``t`` in the half warp drives both ``tidx`` and ``idx``
+    (``idx = idx0 + t`` for threads of one warp, per the CUDA thread-id
+    layout the paper describes in Section 2).
     """
-    return len(segments_for_halfwarp(access, bindings))
-
-
-def address_range(access: AccessInfo,
-                  bindings: Mapping[str, int],
-                  loop_domains: Optional[Mapping[str, Tuple[int, int]]] = None,
-                  ) -> Tuple[int, int]:
-    """Interval [lo, hi] of element addresses ``access`` can touch.
-
-    ``bindings`` fixes block ids; thread ids range over the half warp and
-    ``loop_domains`` gives [min, max] per iterator.  Interval arithmetic on
-    the affine form gives exact bounds.
-    """
-    if access.address is None:
-        raise ValueError(f"access {access} has no resolved address")
-    loop_domains = loop_domains or {}
-    lo = hi = access.address.const
-    for name, coeff in access.address.terms.items():
-        if name in ("tidx", "idx"):
-            base = coeff * bindings.get(name, 0)
-            span = coeff * (HALF_WARP - 1)
-            lo += base + min(0, span)
-            hi += base + max(0, span)
-        elif name in bindings:
-            v = coeff * bindings[name]
-            lo += v
-            hi += v
-        elif name in loop_domains:
-            a, b = loop_domains[name]
-            vals = (coeff * a, coeff * b)
-            lo += min(vals)
-            hi += max(vals)
-        else:
-            raise KeyError(f"unbound term {name!r} in address range")
-    return lo, hi
+    t = np.arange(HALF_WARP)
+    addrs = access.eval_addresses({**bindings,
+                                   "tidx": bindings.get("tidx", 0) + t,
+                                   "idx": bindings.get("idx", 0) + t})
+    return segments_for_addresses(access.array, addrs.tolist(),
+                                  access.elem.lanes)

@@ -180,6 +180,12 @@ class ForStmt(Stmt):
             return self.init.target.name
         return None
 
+    def start(self) -> Optional[Expr]:
+        """The iterator's initial value, if the init is a decl/assign."""
+        if isinstance(self.init, DeclStmt):
+            return self.init.init
+        return self.init.value if isinstance(self.init, AssignStmt) else None
+
 
 @dataclass(eq=True)
 class WhileStmt(Stmt):

@@ -39,10 +39,6 @@ class ScalarType(Type):
     def size_bytes(self) -> int:
         return 4 * self.lanes
 
-    @property
-    def is_vector(self) -> bool:
-        return self.lanes > 1
-
     def __str__(self) -> str:
         return self.name
 

@@ -51,7 +51,6 @@ class GpuSpec:
     preferred_vector: int = 2
     vector_bandwidth_gain: Dict[int, float] = field(
         default_factory=lambda: {1: 1.0, 2: 1.03, 4: 0.81})
-    aggressive_vectorization: bool = False
 
     # Minimum threads per SM recommended to hide register RAW latency
     # (CUDA programming guide figure quoted in Section 4.1).
@@ -125,7 +124,6 @@ HD5870 = GpuSpec(
     core_clock_ghz=0.85,
     preferred_vector=4,
     vector_bandwidth_gain={1: 1.0, 2: 1.38, 4: 1.42},
-    aggressive_vectorization=True,
     relaxed_coalescing=True,
 )
 

@@ -14,9 +14,11 @@ reduce to coefficient arithmetic (see :class:`Verdict`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
-from repro.ir.access import AccessInfo
+import numpy as np
+
+from repro.ir.access import AccessInfo, Axis
 from repro.ir.affine import AffineExpr
 from repro.ir.segments import SEGMENT_ELEMS
 
@@ -99,34 +101,26 @@ def _check_by_evaluation(access: AccessInfo) -> Verdict:
     """Numeric fallback for quasi-affine addresses (``%``/``/`` terms such
     as the partition rotation or warp-local ids): evaluate the 16 thread
     addresses at a few iterator samples and test the rules directly."""
-    loop_values = []
-    for sample in range(3):
-        bind = {"bidx": sample, "bidy": sample, "tidy": 0,
-                "idy": sample, "bdimx": SEGMENT_ELEMS, "bdimy": 1,
-                "gdimx": 64, "gdimy": 64}
-        for loop in access.loops:
-            step = loop.step or 1
-            start = 0
-            if loop.start is not None and loop.start.is_constant:
-                start = loop.start.const
-            bind[loop.name] = start + step * SEGMENT_ELEMS * sample
-        loop_values.append(bind)
-    for bind in loop_values:
-        addrs = []
-        for t in range(SEGMENT_ELEMS):
-            b = dict(bind)
-            b["tidx"] = t
-            b["idx"] = bind["bidx"] * SEGMENT_ELEMS + t
-            try:
-                addrs.append(access.eval_address(b))
-            except (KeyError, ZeroDivisionError):
-                return Verdict(access, False,
-                               "quasi-affine address not evaluable")
-        base = addrs[0]
+    sample = np.arange(3)[:, None]
+    t = np.arange(SEGMENT_ELEMS)
+    axes: Dict[str, Axis] = {
+        "bidx": sample, "bidy": sample, "tidy": 0, "idy": sample,
+        "bdimx": SEGMENT_ELEMS, "bdimy": 1, "gdimx": 64, "gdimy": 64,
+        "tidx": t, "idx": sample * SEGMENT_ELEMS + t}
+    for loop in access.loops:
+        start = loop.start.const if loop.start is not None \
+            and loop.start.is_constant else 0
+        axes[loop.name] = start + (loop.step or 1) * SEGMENT_ELEMS * sample
+    try:
+        rows = access.eval_addresses(axes)
+    except (KeyError, ZeroDivisionError):
+        return Verdict(access, False, "quasi-affine address not evaluable")
+    for addrs in rows:
+        base = int(addrs[0])
         if base % SEGMENT_ELEMS:
             return Verdict(access, False,
                            f"base address {base} not 64-byte aligned")
-        if any(addrs[t] != base + t for t in range(SEGMENT_ELEMS)):
+        if np.any(addrs != base + t):
             return Verdict(access, False,
                            "threads do not access consecutive words")
     return Verdict(access, True,

@@ -28,7 +28,6 @@ from repro.lang.astnodes import (
     Binary,
     DeclStmt,
     Expr,
-    ForStmt,
     Ident,
     IfStmt,
     IntLit,
@@ -50,14 +49,6 @@ def _shared_array_names(ctx: CompilationContext) -> set:
     return names
 
 
-def _loop_start_expr(loop: ForStmt) -> Optional[Expr]:
-    if isinstance(loop.init, DeclStmt) and loop.init.init is not None:
-        return loop.init.init
-    if isinstance(loop.init, AssignStmt):
-        return loop.init.value
-    return None
-
-
 class PrefetchPass(Pass):
     """Double-buffer simple G2S loads through register temporaries."""
 
@@ -71,7 +62,7 @@ class PrefetchPass(Pass):
                      rule="prefetch.skip.no-loop")
             return
         iname = loop.iter_name()
-        start = _loop_start_expr(loop)
+        start = loop.start()
         if iname is None or start is None:
             ctx.note("prefetch: loop shape not recognized; skipped",
                      rule="prefetch.skip.shape")

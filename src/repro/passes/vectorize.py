@@ -13,9 +13,8 @@ float2 stream, which is why Figure 14's ``optimized`` kernel beats
 ``optimized_wo_vec``: the latter must stage the strided reads through
 shared memory instead.
 
-For AMD-like machines (``aggressive_vectorization``) the paper also groups
-accesses from neighboring threads; we record the opportunity in the log but
-the NVIDIA evaluation path never applies it, matching the paper.
+For AMD-like machines the paper also groups accesses from neighboring
+threads; this pass does not, as the paper's NVIDIA evaluation does not.
 """
 
 from __future__ import annotations

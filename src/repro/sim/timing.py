@@ -12,7 +12,7 @@ degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from repro.lang.astnodes import (
     Member,
     Ternary,
     Unary,
-    walk_exprs,
 )
 from repro.machine import GpuSpec
 from repro.sim.interp import LaunchConfig
@@ -120,8 +119,19 @@ def access_executions(access: AccessInfo, config: LaunchConfig) -> float:
 
 def shared_conflict_degree(access: AccessInfo, machine: GpuSpec,
                            config: LaunchConfig) -> int:
-    """Predicted bank-serialization degree of one shared access (>= 1)."""
-    return _bank_conflict_degree(access, machine, config)
+    """Predicted bank-serialization degree of one shared access (>= 1):
+    its half warp's addresses under the sampled bindings."""
+    if not access.resolved:
+        return 1
+    bindings = _sample_bindings(access, config)
+    t = np.arange(HALF_WARP)
+    try:
+        addrs = access.eval_addresses(
+            {**bindings, "tidx": t,
+             "idx": bindings.get("bidx", 0) * config.block[0] + t}).tolist()
+    except (KeyError, ZeroDivisionError):
+        return 1
+    return bank_serialization(addrs, machine.shared_banks)
 
 
 def guard_fraction(cond: Expr, config: LaunchConfig) -> float:
@@ -270,7 +280,6 @@ def _expr_alu_ops(expr: Expr, address_weight: float = 0.25) -> float:
     if isinstance(expr, Call):
         return (_CALL_COST.get(expr.name, 2)
                 + sum(_expr_alu_ops(a, address_weight) for a in expr.args))
-    from repro.lang.astnodes import Member
     if isinstance(expr, Member):
         return _expr_alu_ops(expr.base, address_weight)
     return 0.0
@@ -292,24 +301,6 @@ def bank_serialization(addrs: Sequence[int], banks: int) -> int:
         bank = addr % banks
         hits[bank] = hits.get(bank, 0) + 1
     return max(hits.values())
-
-
-def _bank_conflict_degree(access: AccessInfo, machine: GpuSpec,
-                          config: LaunchConfig) -> int:
-    """Serialization factor of a shared access across a half warp."""
-    if not access.resolved:
-        return 1
-    bindings = _sample_bindings(access, config)
-    addrs = []
-    for t in range(HALF_WARP):
-        bind = dict(bindings)
-        bind["tidx"] = t
-        bind["idx"] = bind.get("bidx", 0) * config.block[0] + t
-        try:
-            addrs.append(access.eval_address(bind))
-        except (KeyError, ZeroDivisionError):
-            return 1
-    return bank_serialization(addrs, machine.shared_banks)
 
 
 def analyze_kernel(kernel: Kernel, sizes: Mapping[str, int],
@@ -359,12 +350,9 @@ def _count_alu(kernel: Kernel, sizes: Mapping[str, int],
         if name is None or stmt.cond is None:
             return 16.0
         try:
-            if isinstance(stmt.init, DeclStmt) and stmt.init.init is not None:
-                start_form = affine_of(stmt.init.init, env)
-            elif isinstance(stmt.init, AssignStmt):
-                start_form = affine_of(stmt.init.value, env)
-            else:
+            if stmt.start() is None:
                 return 16.0
+            start_form = affine_of(stmt.start(), env)
             start = start_form.evaluate(
                 {k: int(v) for k, v in values.items()})
         except (NotAffine, KeyError):

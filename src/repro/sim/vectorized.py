@@ -124,12 +124,7 @@ def _loop_bound_exprs(loop) -> List[Expr]:
     """Every expression that decides how often a loop iterates."""
     out: List[Expr] = []
     if isinstance(loop, ForStmt):
-        if isinstance(loop.init, DeclStmt) and loop.init.init is not None:
-            out.append(loop.init.init)
-        elif isinstance(loop.init, AssignStmt):
-            out.append(loop.init.value)
-        if loop.cond is not None:
-            out.append(loop.cond)
+        out.extend(e for e in (loop.start(), loop.cond) if e is not None)
         if isinstance(loop.update, AssignStmt):
             out.append(loop.update.value)
     elif isinstance(loop, WhileStmt):

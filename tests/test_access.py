@@ -147,6 +147,20 @@ class TestQuasiAffine:
         with pytest.raises(KeyError):
             load.eval_addresses({"idx": tidx, "tidx": tidx, "i": i})
 
+    def test_logical_not_term_follows_c(self):
+        src = """
+        __global__ void f(float a[n], float c[n], int n) {
+            int q = !tidx;
+            c[idx] = a[idx + q];
+        }
+        """
+        load = by_array(src, {"n": 64})["a"][0]
+        tidx = np.arange(3)
+        assert load.eval_addresses({"idx": tidx, "tidx": tidx}).tolist() \
+            == [1, 1, 2]
+        assert [load.eval_address({"idx": t, "tidx": t})
+                for t in range(3)] == [1, 1, 2]
+
     def test_term_reads_follows_nested_definitions(self):
         src = """
         __global__ void f(float a[n], float c[n], int n, int w) {

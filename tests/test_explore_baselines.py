@@ -7,7 +7,7 @@ from repro.explore import autotune, explore
 from repro.kernels.baselines import BASELINES, rd_cublas
 from repro.kernels.naive import body_loc
 from repro.kernels.suite import ALGORITHMS, get_algorithm, table1_rows
-from repro.machine import GTX280, GTX8800, HD5870, machine
+from repro.machine import GTX280, GTX8800, machine
 
 SIZES = {"n": 256, "m": 256, "w": 256}
 
@@ -73,7 +73,6 @@ class TestMachines:
         assert GTX8800.num_sms < GTX280.num_sms
         assert not GTX8800.relaxed_coalescing
         assert GTX280.relaxed_coalescing
-        assert HD5870.aggressive_vectorization
 
     def test_peak_gflops_reasonable(self):
         assert 300 < GTX8800.peak_gflops < 400

@@ -3,7 +3,8 @@
 * one C operator table — every operator x {int,int / float,float /
   int,float} x {positive, negative, zero-divisor} operands gives the
   hand-written C result (or the same error class) on lockstep,
-  scheduled and vectorized, and from ``concrete.eval_int`` for ints;
+  scheduled and vectorized, and from the static address evaluator
+  ``eval_int_expr`` for ints, on a Python int and on an int64 array;
 * the same table on the vectorized backend with each operand either
   uniform (one Python scalar for the launch) or varying (a lane array):
   the scalar table, NumPy and the mix of the two must agree with C;
@@ -21,8 +22,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.analysis.concrete import Unresolved, eval_int
-from repro.lang.astnodes import Binary, IntLit, Unary
+from repro.ir.access import eval_int_expr
+from repro.lang.astnodes import Binary, Ident, Unary
 from repro.lang.parser import parse_kernel
 from repro.lang.semantic import SemanticError, check_kernel
 from repro.sim.backend import run_kernel
@@ -122,6 +123,19 @@ def _check(kernel, inputs, out_type, want, label):
                 f"{label} on {backend}: got {got}, C says {want}"
 
 
+def _check_static(expr, operands, want, label):
+    """``eval_int_expr`` on Python ints, then on int64 arrays."""
+    arrays = {name: np.array([value]) for name, value in operands.items()}
+    for bindings in (operands, arrays):
+        if want is ZDE:
+            with pytest.raises(ZeroDivisionError):
+                eval_int_expr(expr, bindings, {})
+        else:
+            got = eval_int_expr(expr, bindings, {})
+            assert np.ndim(got) == np.ndim(bindings["a"]) \
+                and np.all(got == want), f"eval_int_expr {label}: got {got}"
+
+
 @pytest.mark.parametrize("kinds", sorted(OPERANDS))
 @pytest.mark.parametrize("op", sorted(C_INT))
 def test_binary_operator_matches_c(op, kinds):
@@ -139,12 +153,8 @@ def test_binary_operator_matches_c(op, kinds):
                f"{a!r} {op} {b!r}")
         if kinds != "int,int":
             continue
-        expr = Binary(op, IntLit(a), IntLit(b))
-        if want is ZDE:
-            with pytest.raises(Unresolved, match="division by zero"):
-                eval_int(expr, {})
-        else:
-            assert eval_int(expr, {}) == want, f"eval_int {a} {op} {b}"
+        _check_static(Binary(op, Ident("a"), Ident("b")),
+                      {"a": a, "b": b}, want, f"{a} {op} {b}")
 
 
 @pytest.mark.parametrize("type_name", sorted(UNARY_OPERANDS))
@@ -158,7 +168,7 @@ def test_unary_operator_matches_c(op, type_name):
     for a, want in zip(values, table[op]):
         _check(kernel, {"a": (type_name, a)}, out, want, f"{op}{a!r}")
         if type_name == "int":
-            assert eval_int(Unary(op, IntLit(a)), {}) == want
+            _check_static(Unary(op, Ident("a")), {"a": a}, want, f"{op}{a}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,7 @@ from repro.ir.access import collect_accesses
 from repro.ir.dependence import (SharingKind, analyze_array_sharing,
                                  analyze_sharing, block_delta,
                                  footprint_set)
-from repro.ir.segments import (address_range, halfwarp_addresses,
-                               segments_for_halfwarp,
-                               transactions_per_halfwarp)
+from repro.ir.segments import segments_for_halfwarp
 from repro.lang.parser import parse_kernel
 from repro.machine import GTX280
 from repro.passes.sharing import plan_merges
@@ -51,20 +49,11 @@ class TestSegments:
 
     def test_halfwarp_addresses_consecutive(self, mm_source):
         b = load_of(mm_source, "b")
-        addrs = halfwarp_addresses(b, {"i": 0, "bidx": 0, "idx": 0})
-        assert addrs == list(range(16))
-
-    def test_transactions_count(self, mv_source):
-        a = load_of(mv_source, "a")
-        assert transactions_per_halfwarp(
-            a, {"i": 0, "bidx": 0, "idx": 0}) == 16
-
-    def test_address_range_interval(self, mm_source):
-        a = load_of(mm_source, "a")
-        lo, hi = address_range(a, {"idy": 2, "bidx": 0},
-                               loop_domains={"i": (0, 63)})
-        assert lo == 2 * 64
-        assert hi == 2 * 64 + 63
+        segs = segments_for_halfwarp(b, {"i": 0, "bidx": 0, "idx": 0})
+        assert [s.start for s in segs] == [0]
+        # One thread on, the 16 consecutive words straddle two segments.
+        segs = segments_for_halfwarp(b, {"i": 0, "bidx": 0, "idx": 1})
+        assert [s.start for s in segs] == [0, 16]
 
 
 class TestSharing:
