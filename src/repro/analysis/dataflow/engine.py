@@ -182,7 +182,7 @@ class DataflowEngine:
         if stmt.type.name == "int":
             env = dict(env)
             if stmt.init is None:
-                # Matches sim.values.default_value("int") == 0.
+                # The simulators' default int value is 0.
                 env[stmt.name] = Val.const(0)
             else:
                 env[stmt.name] = value if value is not None else Val.top()

@@ -9,7 +9,7 @@ the congruence captures the regular spacing block/thread merge factors
 introduce (``16*idy + k`` is ``≡ k (mod 16)``).
 
 All transfer functions are *sound over-approximations* of the simulator's
-C semantics (``repro.sim.values.c_div`` / ``c_mod``): whatever the
+C semantics (``repro.lang.arith.c_div`` / ``c_mod``): whatever the
 lockstep interpreter computes for an expression is contained in the
 ``Val`` the engine derives for it.  Anything not provably representable
 falls back to :meth:`Val.top`, never to a narrower guess.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Tuple
 
-from repro.sim.values import c_div, c_mod
+from repro.lang.arith import c_div, c_mod
 
 Bound = Optional[int]  # None = unbounded on that side
 
