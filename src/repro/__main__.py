@@ -68,7 +68,7 @@ import sys
 #: BSD sysexits EX_SOFTWARE: an unexpected exception reached the CLI.
 EX_SOFTWARE = 70
 
-from repro.compiler import CompileOptions, compile_kernel
+from repro.compiler import STAGE_CHOICES, compile_kernel, stage_options
 from repro.explore import explore
 from repro.lang.semantic import SemanticError
 from repro.machine import MACHINES, machine
@@ -76,29 +76,9 @@ from repro.passes.base import PassError
 from repro.sim.backend import BACKENDS
 from repro.sim.perf import estimate_compiled
 
-_STAGE_OPTIONS = {
-    "naive": CompileOptions(enable_vectorize=False, enable_coalesce=False,
-                            enable_merge=False, enable_prefetch=False,
-                            enable_partition=False),
-    "vectorize": CompileOptions(enable_coalesce=False, enable_merge=False,
-                                enable_prefetch=False,
-                                enable_partition=False),
-    "coalesce": CompileOptions(enable_merge=False, enable_prefetch=False,
-                               enable_partition=False),
-    "merge": CompileOptions(enable_prefetch=False, enable_partition=False),
-    "full": CompileOptions(),
-}
-
-#: lint --stage choice -> compile_stages key ('all' = every stage)
-_LINT_STAGES = {
-    "naive": "naive",
-    "vectorize": "+vectorize",
-    "coalesce": "+coalesce",
-    "merge": "+merge",
-    "prefetch": "+prefetch",
-    "partition": "+partition",
-    "full": "+partition",
-}
+#: The compile form's ``--stage`` choices (lint and profile take every
+#: stage in STAGE_CHOICES).
+_COMPILE_STAGES = ("naive", "vectorize", "coalesce", "merge", "full")
 
 
 def _parse_sizes(pairs):
@@ -176,7 +156,7 @@ def _run(argv=None) -> int:
     parser.add_argument("--machine", default="GTX280",
                         choices=sorted(MACHINES))
     parser.add_argument("--stage", default="full",
-                        choices=sorted(_STAGE_OPTIONS),
+                        choices=sorted(_COMPILE_STAGES),
                         help="stop after a cumulative optimization stage")
     parser.add_argument("--verify", action="store_true",
                         help="run the static verifier on the result "
@@ -231,7 +211,7 @@ def _run(argv=None) -> int:
     sizes = _parse_sizes(args.size)
     domain = _parse_domain(args.domain)
     mach = machine(args.machine)
-    options = _STAGE_OPTIONS[args.stage]
+    options = stage_options(STAGE_CHOICES[args.stage])
     overrides = {}
     if args.verify:
         overrides["verify"] = True
@@ -347,8 +327,7 @@ def _run(argv=None) -> int:
 
 def lint_main(argv=None) -> int:
     """``python -m repro lint``: verify suite kernels at pipeline stages."""
-    from repro.analysis import (Severity, VerifyOptions, verify_compiled,
-                                verify_kernel)
+    from repro.analysis import Severity, verify_kernel
     from repro.compiler import compile_stages
     from repro.kernels.suite import ALGORITHMS
 
@@ -359,7 +338,7 @@ def lint_main(argv=None) -> int:
     parser.add_argument("kernels", nargs="*", metavar="KERNEL",
                         help="suite kernel names (default: all)")
     parser.add_argument("--stage", default="all",
-                        choices=["all"] + sorted(_LINT_STAGES),
+                        choices=["all"] + sorted(STAGE_CHOICES),
                         help="verify only one cumulative stage")
     parser.add_argument("--scale", type=int, default=None,
                         help="problem scale (default: each kernel's "
@@ -384,8 +363,7 @@ def lint_main(argv=None) -> int:
               file=sys.stderr)
         return 2
     mach = machine(args.machine)
-    wanted = None if args.stage == "all" else _LINT_STAGES[args.stage]
-    lint_opts = VerifyOptions(dataflow=True)
+    wanted = None if args.stage == "all" else STAGE_CHOICES[args.stage]
 
     diagnostics = []
     facts_entries = []
@@ -398,17 +376,15 @@ def lint_main(argv=None) -> int:
         try:
             if alg.uses_global_sync:
                 reports = _lint_reduction(alg, sizes, mach, verify_kernel,
-                                          lint_opts)
+                                          dataflow=True)
             else:
                 stages = compile_stages(alg.source, sizes,
                                         alg.domain(sizes), mach)
-                reports = [(stage,
-                            verify_compiled(ck, stage=stage,
-                                            options=lint_opts),
-                            (ck.kernel, ck.size_bindings(),
-                             tuple(ck.config.block), tuple(ck.config.grid)))
-                           for stage, ck in stages.items()
-                           if wanted is None or stage == wanted]
+                reports = _verify_launches(
+                    [(stage, launch) for stage, ck in stages.items()
+                     if wanted is None or stage == wanted
+                     for launch in ck.launch_plan()],
+                    mach, verify_kernel, dataflow=True)
         except (PassError, SemanticError) as exc:
             print(f"error: {name}: compilation failed: {exc}",
                   file=sys.stderr)
@@ -461,44 +437,33 @@ def lint_main(argv=None) -> int:
     return exit_code
 
 
-def _lint_reduction(alg, sizes, mach, verify_kernel, options=None):
-    """Verify both fission stages of a __global_sync reduction kernel."""
+def _verify_launches(launches, mach, verify_kernel, dataflow=False):
+    """Verify each ``(stage, Launch)``; one ``(tag, report, (kernel,
+    scalars, block, grid))`` per launch, tagged with the launch's label
+    (its stage's name for a program of one unlabelled launch)."""
+    out = []
+    for stage, launch in launches:
+        tag = launch.label or stage
+        block, grid = tuple(launch.config.block), tuple(launch.config.grid)
+        report = verify_kernel(launch.kernel, launch.scalars, block=block,
+                               grid=grid, machine=mach, stage=tag,
+                               dataflow=dataflow)
+        out.append((tag, report, (launch.kernel, launch.scalars, block,
+                                  grid)))
+    return out
+
+
+def _lint_reduction(alg, sizes, mach, verify_kernel, dataflow=False):
+    """Verify every launch of a __global_sync reduction's fissioned
+    program.  Inputs too small to relaunch stage 2 also verify it once,
+    reducing one block of partials."""
     from repro.reduction import compile_reduction
     compiled = compile_reduction(alg.source, sizes["n"], machine=mach)
-    reports = []
-    def bindings(kernel, size, grid):
-        out = {}
-        for p in kernel.scalar_params():
-            if p.name == "nb":
-                out[p.name] = grid
-            elif p.name == "n2":     # staged style: raw float count
-                out[p.name] = 2 * size
-            else:
-                out[p.name] = size
-        return out
-
-    for label, config, size in compiled.launches():
-        kernel = compiled.stage1 if label == "stage1" else compiled.stage2
-        bound = bindings(kernel, size, config.grid[0])
-        report = verify_kernel(
-            kernel, bound,
-            block=tuple(config.block), grid=tuple(config.grid),
-            machine=mach, stage=label, options=options)
-        reports.append((label, report,
-                        (kernel, bound, tuple(config.block),
-                         tuple(config.grid))))
-    # launches() only relaunches stage2 for large inputs; always verify it
-    # once under a representative configuration.
-    if all(label != "stage2" for label, _, _ in reports):
-        block = compiled.plan.block_threads
-        bound = bindings(compiled.stage2, block, 1)
-        report = verify_kernel(
-            compiled.stage2, bound,
-            block=(block, 1), grid=(1, 1), machine=mach, stage="stage2",
-            options=options)
-        reports.append(("stage2", report,
-                        (compiled.stage2, bound, (block, 1), (1, 1))))
-    return reports
+    plan = compiled.launch_plan()
+    if len(plan) == 1:
+        plan.append(compiled.stage2_launch(compiled.plan.block_threads, 1))
+    return _verify_launches([("", launch) for launch in plan], mach,
+                            verify_kernel, dataflow=dataflow)
 
 
 if __name__ == "__main__":

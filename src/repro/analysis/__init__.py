@@ -33,7 +33,7 @@ from repro.analysis.dataflow import KernelFacts, analyze_kernel
 from repro.analysis.dataflow.check import check_dataflow
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport, Severity
 from repro.sim.phases import PhaseSlicing, slice_phases
-from repro.analysis.verifier import VerifyOptions, verify_compiled, verify_kernel
+from repro.analysis.verifier import verify_compiled, verify_kernel
 
 __all__ = [
     "Diagnostic",
@@ -42,7 +42,6 @@ __all__ = [
     "PhaseSlicing",
     "ScheduleWitness",
     "Severity",
-    "VerifyOptions",
     "analyze_kernel",
     "assert_schedule_invariant",
     "check_dataflow",

@@ -26,7 +26,7 @@ on earlier stages they preview what cleanup will remove.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Mapping, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.lang.astnodes import Kernel

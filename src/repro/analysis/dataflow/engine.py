@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.lang import astnodes as ast
-from repro.lang.builtins import PREDEFINED_IDS
 from repro.lang.printer import print_expr
 
 from .lattice import Interval, Val

@@ -11,7 +11,6 @@ the transformed kernel sees them, and its planned launch configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 from repro.analysis.banks import check_banks
@@ -25,48 +24,34 @@ from repro.lang.astnodes import Kernel
 from repro.machine import GpuSpec
 
 
-@dataclass(frozen=True)
-class VerifyOptions:
-    """Which analyses to run (all by default)."""
-
-    races: bool = True
-    divergence: bool = True
-    bounds: bool = True
-    banks: bool = True
-    #: Abstract-interpretation dataflow lint (``dataflow.*`` rules).  Off
-    #: by default: the fuzz oracle and compile-time verification predate
-    #: it and pin their diagnostic sets; ``repro lint`` turns it on.
-    dataflow: bool = False
-
-
 def verify_kernel(kernel: Kernel, sizes: Mapping[str, int],
                   block: Tuple[int, int], grid: Tuple[int, int] = (1, 1),
                   *, machine: Optional[GpuSpec] = None,
                   kernel_name: str = "", stage: str = "",
-                  options: Optional[VerifyOptions] = None
-                  ) -> DiagnosticReport:
-    """Run every enabled analysis on one kernel under one launch."""
-    options = options or VerifyOptions()
+                  dataflow: bool = False) -> DiagnosticReport:
+    """Run the race, divergence, bounds and bank analyses on one kernel
+    under one launch.
+
+    ``dataflow`` adds the abstract-interpretation lint (``dataflow.*``
+    rules).  It is off by default: the fuzz oracle and compile-time
+    verification predate it and pin their diagnostic sets; ``repro lint``
+    turns it on.
+    """
     name = kernel_name or kernel.name
     report = DiagnosticReport()
     slicing = slice_phases(kernel)
     accesses = collect_accesses(kernel, sizes)
-    if options.divergence:
-        report.extend(check_divergence(kernel, kernel_name=name,
-                                       stage=stage))
-    if options.races:
-        report.extend(check_races(kernel, sizes, block, grid,
-                                  kernel_name=name, stage=stage,
-                                  slicing=slicing, accesses=accesses))
-    if options.bounds:
-        report.extend(check_bounds(kernel, sizes, block, grid,
-                                   kernel_name=name, stage=stage,
-                                   accesses=accesses))
-    if options.banks:
-        report.extend(check_banks(kernel, sizes, block, grid,
-                                  kernel_name=name, stage=stage,
-                                  machine=machine, accesses=accesses))
-    if options.dataflow:
+    report.extend(check_divergence(kernel, kernel_name=name, stage=stage))
+    report.extend(check_races(kernel, sizes, block, grid,
+                              kernel_name=name, stage=stage,
+                              slicing=slicing, accesses=accesses))
+    report.extend(check_bounds(kernel, sizes, block, grid,
+                               kernel_name=name, stage=stage,
+                               accesses=accesses))
+    report.extend(check_banks(kernel, sizes, block, grid,
+                              kernel_name=name, stage=stage,
+                              machine=machine, accesses=accesses))
+    if dataflow:
         from repro.analysis.dataflow.check import check_dataflow
         report.extend(check_dataflow(kernel, sizes, block, grid,
                                      kernel_name=name, stage=stage,
@@ -75,12 +60,11 @@ def verify_kernel(kernel: Kernel, sizes: Mapping[str, int],
 
 
 def verify_compiled(compiled, stage: str = "",
-                    options: Optional[VerifyOptions] = None
-                    ) -> DiagnosticReport:
+                    dataflow: bool = False) -> DiagnosticReport:
     """Verify a compiled kernel under its planned launch configuration."""
     config = compiled.config
     return verify_kernel(
         compiled.kernel, compiled.size_bindings(),
         block=tuple(config.block), grid=tuple(config.grid),
         machine=compiled.ctx.machine, kernel_name=compiled.name,
-        stage=stage, options=options)
+        stage=stage, dataflow=dataflow)

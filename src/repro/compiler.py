@@ -41,7 +41,7 @@ from repro.passes.sharing import MergePlan, plan_merges
 from repro.passes.vectorize import VectorizePass
 from repro.sim.backend import run_kernel
 from repro.sim.differential import lanes_view
-from repro.sim.interp import LaunchConfig
+from repro.sim.interp import Launch, LaunchConfig
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,28 @@ class CompileOptions:
         return out
 
 
+#: The passes the cumulative stages turn on, in pipeline order.
+_STAGE_PASSES = ("vectorize", "coalesce", "merge", "prefetch", "partition")
+
+#: The cumulative stages of the Figure 12 dissection, in pipeline order:
+#: ``naive`` runs no optimization pass, ``+P`` adds pass P to the stage
+#: before it, and ``+partition`` is the full pipeline.
+STAGES: Tuple[str, ...] = ("naive",) + tuple(f"+{p}" for p in _STAGE_PASSES)
+
+#: Command-line stage names: each stage without its ``+``, and ``full``.
+STAGE_CHOICES: Dict[str, str] = {**{s.lstrip("+"): s for s in STAGES},
+                                 "full": STAGES[-1]}
+
+
+def stage_options(stage: str,
+                  base: Optional[CompileOptions] = None) -> CompileOptions:
+    """``base`` (default: all passes on) with every pass after ``stage``
+    turned off."""
+    later = _STAGE_PASSES[STAGES.index(stage):]
+    return replace(base or CompileOptions(),
+                   **{f"enable_{p}": False for p in later})
+
+
 def uses_global_sync(kernel: Kernel) -> bool:
     return any(isinstance(s, SyncStmt) and s.scope == "global"
                for s in walk_stmts(kernel.body))
@@ -157,6 +179,12 @@ class CompiledKernel:
         for name in self.ctx.halved_extents:
             out[name] = out[name] // 2
         return out
+
+    def launch_plan(self) -> List[Launch]:
+        """The program's one launch (see :class:`~repro.sim.interp.Launch`)."""
+        return [Launch("", self.kernel, self.config, self.size_bindings(),
+                       vector_lanes=2 if self.ctx.vectorized else 1,
+                       registers=self.ctx.est_registers)]
 
     def run(self, arrays: Dict[str, np.ndarray],
             scalars: Optional[Dict[str, object]] = None,
@@ -233,10 +261,8 @@ def compile_kernel(source: Union[str, Kernel],
             last_error = exc
             target //= 2
     if resilient:
-        floor = replace(options, target_threads=HALF_WARP,
-                        enable_vectorize=False, enable_coalesce=False,
-                        enable_merge=False, enable_prefetch=False,
-                        enable_partition=False)
+        floor = replace(stage_options("naive", options),
+                        target_threads=HALF_WARP)
         return _compile_once(naive, sizes, domain, machine, floor,
                              attempts=attempts, floor=True)
     raise last_error
@@ -517,20 +543,6 @@ def compile_stages(source: Union[str, Kernel], sizes: Dict[str, int],
     Returns kernels for: ``naive`` (parsed, block 16x1), ``+vectorize``,
     ``+coalesce``, ``+merge``, ``+prefetch``, ``+partition`` (= full).
     """
-    base = options or CompileOptions()
-    stage_opts = {
-        "naive": replace(base, enable_vectorize=False, enable_coalesce=False,
-                         enable_merge=False, enable_prefetch=False,
-                         enable_partition=False),
-        "+vectorize": replace(base, enable_coalesce=False,
-                              enable_merge=False, enable_prefetch=False,
-                              enable_partition=False),
-        "+coalesce": replace(base, enable_merge=False, enable_prefetch=False,
-                             enable_partition=False),
-        "+merge": replace(base, enable_prefetch=False,
-                          enable_partition=False),
-        "+prefetch": replace(base, enable_partition=False),
-        "+partition": base,
-    }
-    return {name: compile_kernel(source, sizes, domain, machine, opt)
-            for name, opt in stage_opts.items()}
+    return {stage: compile_kernel(source, sizes, domain, machine,
+                                  stage_options(stage, options))
+            for stage in STAGES}

@@ -54,7 +54,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis import verify_compiled
-from repro.compiler import CompileOptions, compile_stages, naive_launch
+from repro.compiler import STAGES, CompileOptions, compile_stages, \
+    naive_launch
 from repro.fuzz.corpus import KernelCase
 from repro.lang.astnodes import Kernel
 from repro.lang.parser import parse_kernel
@@ -79,8 +80,7 @@ from repro.sim.vectorized import UnsupportedKernelError
 ORACLE_BACKENDS: Tuple[str, ...] = ("lockstep", "vectorized", "auto", "both")
 
 #: Cumulative stage keys, in pipeline order (= compile_stages keys).
-STAGE_NAMES: Tuple[str, ...] = ("naive", "+vectorize", "+coalesce",
-                                "+merge", "+prefetch", "+partition")
+STAGE_NAMES: Tuple[str, ...] = STAGES
 
 
 @dataclass(frozen=True)

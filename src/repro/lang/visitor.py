@@ -10,7 +10,7 @@ Two tools:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.lang.astnodes import (
     ArrayRef,
@@ -48,24 +48,33 @@ class ExprTransformer:
         return hook(rebuilt) if hook else rebuilt
 
     def _rebuild(self, expr: Expr) -> Expr:
-        if isinstance(expr, ArrayRef):
-            base = self.transform(expr.base)
-            if not isinstance(base, Ident):
-                raise TypeError("array base must remain an identifier")
-            return ArrayRef(base, [self.transform(i) for i in expr.indices])
-        if isinstance(expr, Member):
-            return Member(self.transform(expr.base), expr.member)
-        if isinstance(expr, Unary):
-            return Unary(expr.op, self.transform(expr.operand))
-        if isinstance(expr, Binary):
-            return Binary(expr.op, self.transform(expr.left),
-                          self.transform(expr.right))
-        if isinstance(expr, Ternary):
-            return Ternary(self.transform(expr.cond), self.transform(expr.then),
-                           self.transform(expr.otherwise))
-        if isinstance(expr, Call):
-            return Call(expr.name, [self.transform(a) for a in expr.args])
-        return expr  # literals and identifiers are leaves
+        return map_children(expr, self.transform)
+
+
+def map_children(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """``expr`` rebuilt one level down with ``fn`` applied to each child
+    expression; literals and identifiers are leaves, returned as is.
+
+    The building block of every bottom-up rewrite: a recursive ``fn``
+    that intercepts the nodes it cares about and otherwise calls
+    ``map_children(expr, fn)`` rewrites the whole tree.
+    """
+    if isinstance(expr, ArrayRef):
+        base = fn(expr.base)
+        if not isinstance(base, Ident):
+            raise TypeError("array base must remain an identifier")
+        return ArrayRef(base, [fn(i) for i in expr.indices])
+    if isinstance(expr, Member):
+        return Member(fn(expr.base), expr.member)
+    if isinstance(expr, Unary):
+        return Unary(expr.op, fn(expr.operand))
+    if isinstance(expr, Binary):
+        return Binary(expr.op, fn(expr.left), fn(expr.right))
+    if isinstance(expr, Ternary):
+        return Ternary(fn(expr.cond), fn(expr.then), fn(expr.otherwise))
+    if isinstance(expr, Call):
+        return Call(expr.name, [fn(a) for a in expr.args])
+    return expr
 
 
 def transform_stmt_exprs(stmt: Stmt, fn: Callable[[Expr], Expr]) -> Stmt:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.lang.astnodes import Kernel
 from repro.machine import GpuSpec
 from repro.obs.envelope import make_envelope
 from repro.obs.profile import PROFILE_SCHEMA, KernelProfile
-from repro.sim.interp import LaunchConfig
+from repro.sim.interp import Launch, LaunchConfig
 from repro.sim.timing import (
     _count_syncs,
     access_executions,
@@ -229,9 +229,6 @@ class StageReport:
 #: guard-free accounting; everything else uses the suite's test scale.
 PROFILE_SCALES = {"rd": 32768}
 
-_STAGES = ("naive", "+vectorize", "+coalesce", "+merge", "+prefetch",
-           "+partition")
-
 
 def profile_algorithm(name: str, scale: Optional[int] = None,
                       machine: Optional[GpuSpec] = None,
@@ -253,65 +250,59 @@ def profile_algorithm(name: str, scale: Optional[int] = None,
     sizes = alg.sizes(scale)
     rng = np.random.default_rng(seed)
     arrays = alg.make_arrays(rng, sizes)
+    # (stage, program, backend -> one KernelProfile per launch)
     if alg.uses_global_sync:
-        return [_profile_reduction(alg, sizes, arrays, machine, backends)]
-    return _profile_staged(alg, sizes, arrays, machine, backends, stages)
+        from repro.reduction import compile_reduction
+        red = compile_reduction(alg.source, sizes["n"], machine=machine)
+
+        def run(backend: str) -> List[KernelProfile]:
+            pairs: List[Tuple[str, KernelProfile]] = []
+            red.run(np.array(arrays["a"], copy=True), backend=backend,
+                    profile=pairs)
+            return [prof for _, prof in pairs]
+        programs = [("fission", red, run)]
+    else:
+        from repro.compiler import compile_stages
+        programs = [(stage, ck, lambda backend, ck=ck:
+                     [ck.profile(arrays, backend=backend)])
+                    for stage, ck in compile_stages(
+                        alg.source, sizes, alg.domain(sizes),
+                        machine).items()
+                    if stages is None or stage in stages]
+    return [_stage_report(alg.name, stage, program.launch_plan(), run,
+                          machine, backends)
+            for stage, program, run in programs]
 
 
-def _profile_staged(alg, sizes, arrays, machine, backends, stages):
-    from repro.compiler import compile_stages
-    compiled = compile_stages(alg.source, sizes, alg.domain(sizes), machine)
-    reports = []
-    for stage, ck in compiled.items():
-        if stages is not None and stage not in stages:
-            continue
-        static = static_counters(ck.kernel, ck.size_bindings(),
-                                 ck.config, machine)
-        launch = LaunchReport(label=stage, config=ck.config, static=static)
-        for backend in backends:
-            launch.profiles[backend] = ck.profile(arrays, backend=backend)
-        reports.append(StageReport(
-            kernel=alg.name, stage=stage, launches=[launch],
-            backend_mismatch=_mismatch(launch)))
-    return reports
+def _stage_report(kernel: str, stage: str, plan: List[Launch],
+                  run: Callable[[str], List[KernelProfile]],
+                  machine: GpuSpec, backends: Tuple[str, ...]
+                  ) -> StageReport:
+    """Profile every launch of one program on every backend.
 
-
-def _profile_reduction(alg, sizes, arrays, machine, backends):
-    """Profile a fissioned reduction: all launches, summed per backend."""
-    from repro.reduction import compile_reduction
-    red = compile_reduction(alg.source, sizes["n"], machine=machine)
-    per_backend: Dict[str, List[Tuple[str, KernelProfile]]] = {}
-    for backend in backends:
-        pairs: List[Tuple[str, KernelProfile]] = []
-        red.run(np.array(arrays["a"], copy=True), backend=backend,
-                profile=pairs)
-        per_backend[backend] = pairs
+    A launch is reported under its label (its stage's name when the
+    program has one unlabelled launch), and launches after the first
+    carry their index: ``stage1``, ``stage2[1]``, ``stage2[2]``...
+    """
     launches = []
-    first = per_backend[backends[0]]
-    for i, (label, config, size) in enumerate(red.launches()):
-        kernel = red.stage1 if label == "stage1" else red.stage2
-        if label == "stage1":
-            if red.plan.load_style == "staged":
-                bindings = {"n2": 2 * red.n_elements, "nb": config.grid[0]}
-            else:
-                bindings = {"n": red.n_elements, "nb": config.grid[0]}
-        else:
-            bindings = {"n": size, "nb": config.grid[0]}
-        static = static_counters(kernel, bindings, config, machine)
-        launch = LaunchReport(label=f"{label}[{i}]" if label == "stage2"
-                              else label,
-                              config=config, static=static)
-        for backend in backends:
-            launch.profiles[backend] = per_backend[backend][i][1]
-        launches.append(launch)
+    for i, launch in enumerate(plan):
+        label = launch.label or stage
+        launches.append(LaunchReport(
+            label=f"{label}[{i}]" if i else label, config=launch.config,
+            static=static_counters(launch.kernel, launch.scalars,
+                                   launch.config, machine)))
+    for backend in backends:
+        for report, prof in zip(launches, run(backend)):
+            report.profiles[backend] = prof
     mismatch = None
-    for launch in launches:
-        mismatch = _mismatch(launch)
+    for report, launch in zip(launches, plan):
+        mismatch = _mismatch(report)
         if mismatch:
-            mismatch = f"{launch.label}: {mismatch}"
+            if launch.label:
+                mismatch = f"{report.label}: {mismatch}"
             break
-    return StageReport(kernel=alg.name, stage="fission",
-                       launches=launches, backend_mismatch=mismatch)
+    return StageReport(kernel=kernel, stage=stage, launches=launches,
+                       backend_mismatch=mismatch)
 
 
 def _mismatch(launch: LaunchReport) -> Optional[str]:
@@ -389,6 +380,7 @@ _BACKEND_SETS = {
 
 def profile_main(argv=None) -> int:
     """``python -m repro profile``: dynamic counters + drift gate."""
+    from repro.compiler import STAGE_CHOICES
     from repro.kernels.suite import ALGORITHMS
     from repro.machine import MACHINES, machine
 
@@ -399,8 +391,7 @@ def profile_main(argv=None) -> int:
     parser.add_argument("kernels", nargs="*", metavar="KERNEL",
                         help="suite kernel names (default: mm tp rd)")
     parser.add_argument("--stage", default="all",
-                        choices=["all", "naive", "vectorize", "coalesce",
-                                 "merge", "prefetch", "partition", "full"],
+                        choices=["all"] + list(STAGE_CHOICES),
                         help="profile only one cumulative stage "
                              "(reductions always profile the whole "
                              "fissioned program)")
@@ -433,11 +424,7 @@ def profile_main(argv=None) -> int:
               f"choose from {', '.join(sorted(ALGORITHMS))}",
               file=sys.stderr)
         return 2
-    stage_map = {"naive": "naive", "vectorize": "+vectorize",
-                 "coalesce": "+coalesce", "merge": "+merge",
-                 "prefetch": "+prefetch", "partition": "+partition",
-                 "full": "+partition"}
-    stages = None if args.stage == "all" else [stage_map[args.stage]]
+    stages = None if args.stage == "all" else [STAGE_CHOICES[args.stage]]
     backends = _BACKEND_SETS[args.backend]
     check_drift = not args.no_drift
     mach = machine(args.machine)

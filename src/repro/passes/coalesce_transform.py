@@ -40,7 +40,6 @@ from repro.lang.astnodes import (
     ArrayRef,
     AssignStmt,
     Binary,
-    Call,
     DeclStmt,
     Expr,
     ForStmt,
@@ -48,15 +47,12 @@ from repro.lang.astnodes import (
     IfStmt,
     IntLit,
     Kernel,
-    Member,
     Stmt,
     SyncStmt,
-    Ternary,
-    Unary,
     walk_stmts,
 )
 from repro.lang.types import FLOAT, INT
-from repro.lang.visitor import substitute_in_body, transform_body
+from repro.lang.visitor import map_children, substitute_in_body, transform_body
 from repro.obs.trace import snippet
 from repro.passes.base import CompilationContext, Pass, PassError, StagedLoad
 from repro.passes.coalesce_check import check_access
@@ -161,20 +157,7 @@ def replace_refs(body: Sequence[Stmt],
     def rewrite(expr: Expr) -> Expr:
         if id(expr) in mapping:
             return mapping[id(expr)].clone()
-        if isinstance(expr, ArrayRef):
-            return ArrayRef(expr.base, [rewrite(i) for i in expr.indices])
-        if isinstance(expr, Member):
-            return Member(rewrite(expr.base), expr.member)
-        if isinstance(expr, Unary):
-            return Unary(expr.op, rewrite(expr.operand))
-        if isinstance(expr, Binary):
-            return Binary(expr.op, rewrite(expr.left), rewrite(expr.right))
-        if isinstance(expr, Ternary):
-            return Ternary(rewrite(expr.cond), rewrite(expr.then),
-                           rewrite(expr.otherwise))
-        if isinstance(expr, Call):
-            return Call(expr.name, [rewrite(a) for a in expr.args])
-        return expr
+        return map_children(expr, rewrite)
 
     return transform_body(body, rewrite)
 

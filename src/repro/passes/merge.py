@@ -25,31 +25,26 @@ coalesced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.lang.astnodes import (
     ArrayRef,
     AssignStmt,
-    Binary,
     Block,
-    Call,
     DeclStmt,
     Expr,
     ExprStmt,
     ForStmt,
     Ident,
     IfStmt,
-    IntLit,
     Member,
     ReturnStmt,
     Stmt,
     SyncStmt,
-    Ternary,
-    Unary,
     walk_exprs,
 )
 from repro.lang.types import ScalarType
-from repro.lang.visitor import substitute_in_body, transform_stmt_exprs
+from repro.lang.visitor import map_children, transform_stmt_exprs
 from repro.passes.base import CompilationContext, Pass, PassError
 from repro.passes.exprutil import add, intlit, mul
 
@@ -80,29 +75,6 @@ def compute_taint(body: Sequence[Stmt], seed: str,
     def taint(name: str) -> None:
         if name not in exclude:
             tainted.add(name)
-
-    def assigned_names(stmts: Sequence[Stmt]) -> Set[str]:
-        out: Set[str] = set()
-        for s in stmts:
-            if isinstance(s, DeclStmt):
-                out.add(s.name)
-            elif isinstance(s, AssignStmt):
-                tgt = s.target
-                while isinstance(tgt, Member):
-                    tgt = tgt.base
-                if isinstance(tgt, Ident):
-                    out.add(tgt.name)
-                elif isinstance(tgt, ArrayRef):
-                    out.add(tgt.base.name)
-            elif isinstance(s, (ForStmt, Block)):
-                inner = s.body
-                out |= assigned_names(inner)
-                if isinstance(s, ForStmt) and s.init is not None:
-                    out |= assigned_names([s.init])
-            elif isinstance(s, IfStmt):
-                out |= assigned_names(s.then_body)
-                out |= assigned_names(s.else_body)
-        return out
 
     def scan(stmts: Sequence[Stmt], control_tainted: bool) -> None:
         for s in stmts:
@@ -231,21 +203,7 @@ class _Replicator:
                             self._globals[name], temp, init=expr.clone()))
                         cache[key] = Ident(temp)
                     return cache[key].clone()
-                return ArrayRef(expr.base,
-                                [rewrite(i) for i in expr.indices])
-            if isinstance(expr, Member):
-                return Member(rewrite(expr.base), expr.member)
-            if isinstance(expr, Unary):
-                return Unary(expr.op, rewrite(expr.operand))
-            if isinstance(expr, Binary):
-                return Binary(expr.op, rewrite(expr.left),
-                              rewrite(expr.right))
-            if isinstance(expr, Ternary):
-                return Ternary(rewrite(expr.cond), rewrite(expr.then),
-                               rewrite(expr.otherwise))
-            if isinstance(expr, Call):
-                return Call(expr.name, [rewrite(a) for a in expr.args])
-            return expr
+            return map_children(expr, rewrite)
 
         if isinstance(stmt, AssignStmt):
             new = AssignStmt(stmt.target, stmt.op, rewrite(stmt.value))

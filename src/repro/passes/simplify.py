@@ -22,23 +22,20 @@ soundness oracle police the claims dynamically.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Mapping, Tuple
 
 from repro.ir.affine import NotAffine, affine_of
 from repro.lang.astnodes import (
     ArrayRef,
-    Binary,
     Call,
     DeclStmt,
     Expr,
     Ident,
     Member,
-    Ternary,
-    Unary,
     walk_exprs,
 )
 from repro.lang.types import INT
-from repro.lang.visitor import transform_body
+from repro.lang.visitor import map_children, transform_body
 from repro.passes.base import CompilationContext, Pass
 from repro.passes.exprutil import affine_to_expr
 
@@ -73,25 +70,10 @@ class SimplifyPass(Pass):
 
     def run(self, ctx: CompilationContext) -> None:
         def rewrite(expr: Expr) -> Expr:
-            if isinstance(expr, ArrayRef):
-                return ArrayRef(expr.base,
-                                [rewrite_index(i) for i in expr.indices])
-            if isinstance(expr, Member):
-                return Member(rewrite(expr.base), expr.member)
-            if isinstance(expr, Unary):
-                return Unary(expr.op, rewrite(expr.operand))
-            if isinstance(expr, Binary):
-                return Binary(expr.op, rewrite(expr.left),
-                              rewrite(expr.right))
-            if isinstance(expr, Ternary):
-                return Ternary(rewrite(expr.cond), rewrite(expr.then),
-                               rewrite(expr.otherwise))
-            if isinstance(expr, Call):
-                return Call(expr.name, [rewrite(a) for a in expr.args])
-            return expr
-
-        def rewrite_index(expr: Expr) -> Expr:
-            return fold_int_expr(rewrite(expr))
+            out = map_children(expr, rewrite)
+            if isinstance(out, ArrayRef):
+                out.indices = [fold_int_expr(i) for i in out.indices]
+            return out
 
         body = transform_body(ctx.kernel.body, rewrite)
 

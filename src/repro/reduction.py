@@ -31,7 +31,6 @@ complex-number variant of Figure 14 in three load styles:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -40,9 +39,7 @@ import numpy as np
 from repro.lang.astnodes import (
     AssignStmt,
     ArrayRef,
-    Binary,
     ForStmt,
-    Ident,
     IfStmt,
     Kernel,
     Stmt,
@@ -53,7 +50,7 @@ from repro.lang.printer import print_kernel
 from repro.machine import GTX280, GpuSpec
 from repro.passes.base import PassError
 from repro.sim.backend import run_kernel
-from repro.sim.interp import LaunchConfig
+from repro.sim.interp import Launch, LaunchConfig
 
 
 @dataclass
@@ -221,21 +218,43 @@ class CompiledReduction:
         chunk = self.plan.block_threads * self.plan.thread_merge
         return max(1, -(-self.n_elements // chunk))
 
-    def launches(self) -> List[Tuple[str, LaunchConfig, int]]:
-        """(kernel, config, input_size) for every launch of the program."""
-        out = [("stage1",
-                LaunchConfig(grid=(self.stage1_grid(), 1),
-                             block=(self.plan.block_threads, 1)),
-                self.n_elements)]
-        size = self.stage1_grid()
+    def stage1_launch(self) -> Launch:
+        """The block-tree launch over the whole input."""
+        nb = self.stage1_grid()
+        if self.plan.load_style == "staged":   # raw float count
+            scalars = {"n2": 2 * self.n_elements, "nb": nb}
+        else:
+            scalars = {"n": self.n_elements, "nb": nb}
+        lanes = 2 if self.plan.load_style == "vectorized" else 1
+        return Launch("stage1", self.stage1,
+                      LaunchConfig(grid=(nb, 1),
+                                   block=(self.plan.block_threads, 1)),
+                      scalars, vector_lanes=lanes)
+
+    def stage2_launch(self, size: int, grid: int) -> Launch:
+        """One relaunch reducing ``size`` partials into ``grid`` partials."""
+        return Launch("stage2", self.stage2,
+                      LaunchConfig(grid=(grid, 1),
+                                   block=(self.plan.block_threads, 1)),
+                      {"n": size, "nb": grid})
+
+    def launch_plan(self) -> List[Launch]:
+        """Every launch of the program: stage 1, then stage 2 relaunched
+        over the partials until one value remains."""
+        plan = [self.stage1_launch()]
+        size = plan[0].config.grid[0]
         block = self.plan.block_threads
         while size > 1:
             grid = max(1, min(64, -(-size // block)))
-            out.append(("stage2",
-                        LaunchConfig(grid=(grid, 1), block=(block, 1)),
-                        size))
+            plan.append(self.stage2_launch(size, grid))
             size = grid
-        return out
+        return plan
+
+    def launches(self) -> List[Tuple[str, LaunchConfig, int]]:
+        """(kernel, config, input_size) for every launch of the program."""
+        return [(launch.label, launch.config,
+                 launch.scalars["n"] if i else self.n_elements)
+                for i, launch in enumerate(self.launch_plan())]
 
     def run(self, data: np.ndarray,
             backend: Optional[str] = None,
@@ -246,48 +265,25 @@ class CompiledReduction:
         interleaved re/im array of ``2 * n_elements`` floats).  When
         ``profile`` is a list, every launch of the fissioned program
         appends a ``(label, KernelProfile)`` pair to it (labels from
-        :meth:`launches`), so callers see the dynamic counters of the
+        :meth:`launch_plan`), so callers see the dynamic counters of the
         whole multi-launch reduction.
         """
-        plan = self.plan
-        launches = self.launches()
-        _, config1, _ = launches[0]
-        nb = config1.grid[0]
-        partial = np.zeros(max(nb, 1), dtype=np.float32)
-        if plan.load_style == "direct":
-            arrays = {"a": data, "partial": partial}
-            scalars = {"n": self.n_elements, "nb": nb}
-        elif plan.load_style == "vectorized":
-            arrays = {"a": data.reshape(-1, 2), "partial": partial}
-            scalars = {"n": self.n_elements, "nb": nb}
-        else:
-            arrays = {"a": data, "partial": partial}
-            scalars = {"n2": 2 * self.n_elements, "nb": nb}
-        collector = self._collector(profile, self.stage1, config1)
-        used = run_kernel(self.stage1, config1, arrays, scalars,
-                          backend=backend, profile=collector)
-        if collector is not None:
-            profile.append(("stage1", collector.finalize(used)))
-        current = partial
-        for _, config, size in launches[1:]:
-            nxt = np.zeros(config.grid[0], dtype=np.float32)
-            collector = self._collector(profile, self.stage2, config)
-            used = run_kernel(self.stage2, config,
-                              {"a": current, "partial": nxt},
-                              {"n": size, "nb": config.grid[0]},
-                              backend=backend, profile=collector)
+        current = (data.reshape(-1, 2)
+                   if self.plan.load_style == "vectorized" else data)
+        for launch in self.launch_plan():
+            partial = np.zeros(launch.config.grid[0], dtype=np.float32)
+            collector = None
+            if profile is not None:
+                from repro.obs.profile import ProfileCollector
+                collector = ProfileCollector(launch.kernel, launch.config)
+            used = run_kernel(launch.kernel, launch.config,
+                              {"a": current, "partial": partial},
+                              launch.scalars, backend=backend,
+                              profile=collector)
             if collector is not None:
-                profile.append(("stage2", collector.finalize(used)))
-            current = nxt
+                profile.append((launch.label, collector.finalize(used)))
+            current = partial
         return float(current[0])
-
-    @staticmethod
-    def _collector(profile: Optional[List], kernel: Kernel,
-                   config: LaunchConfig):
-        if profile is None:
-            return None
-        from repro.obs.profile import ProfileCollector
-        return ProfileCollector(kernel, config)
 
 
 def compile_reduction(source: str, n_elements: int,
@@ -399,13 +395,10 @@ def _build_reduction(name: str, plan: ReductionPlan, n_elements: int,
     # it — it is never cleaned.
     if cleanup:
         from repro.passes.simplify import cleanup_kernel
-        nb = compiled.stage1_grid()
-        if plan.load_style == "staged":
-            stage1_sizes = {"n2": 2 * n_elements, "nb": nb}
-        else:
-            stage1_sizes = {"n": n_elements, "nb": nb}
-        cleaned = cleanup_kernel(stage1, stage1_sizes,
-                                 (plan.block_threads, 1), (nb, 1))
+        launch = compiled.stage1_launch()
+        cleaned = cleanup_kernel(stage1, launch.scalars,
+                                 tuple(launch.config.block),
+                                 tuple(launch.config.grid))
         for proof in cleaned.proofs:
             log.append(f"cleanup: {proof.render()}")
     if faults is not None and faults.trip("corrupt", "reduction"):

@@ -23,8 +23,6 @@ import json
 import sys
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.machine import MACHINES, machine
 from repro.resilience.faults import (
     FAULT_KINDS,
@@ -101,6 +99,7 @@ def _check_reduction_kernel(alg, scale, mach, *, validate: bool,
     import zlib
 
     from repro.reduction import compile_reduction
+    from repro.resilience.validate import exact_sum_failures
 
     n = alg.sizes(scale)["n"]
     result: Dict[str, object] = {"kernel": alg.name, "scale": scale}
@@ -114,21 +113,11 @@ def _check_reduction_kernel(alg, scale, mach, *, validate: bool,
         return result
 
     result["attempts"] = compiled.resilience
-    rng = np.random.default_rng(zlib.crc32(f"resilience:{alg.name}:{n}"
-                                           .encode()))
-    data = rng.integers(0, 8, size=n).astype(np.float32)
-    expected = float(data.sum(dtype=np.float64))
-    mismatches: List[str] = []
-    for backend in CHECK_BACKENDS:
-        try:
-            got = compiled.run(data.copy(), backend=backend)
-        except Exception as exc:
-            mismatches.append(f"{backend}: crash: "
-                              f"{type(exc).__name__}: {exc}")
-            continue
-        if got != expected:
-            mismatches.append(f"{backend}: reduced to {got!r}, "
-                              f"expected {expected!r}")
+    failures = exact_sum_failures(
+        compiled, zlib.crc32(f"resilience:{alg.name}:{n}".encode()),
+        CHECK_BACKENDS)
+    mismatches = [f"{backend}: {failure}"
+                  for backend, failure in failures.items()]
     result["bit_identical"] = not mismatches
     if mismatches:
         result["status"] = "mismatch"

@@ -25,7 +25,7 @@ Either skip is recorded once per compilation, with its cause, as a
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,29 +117,42 @@ class PipelineValidator:
         return None
 
 
+def exact_sum_failures(compiled, seed: int,
+                       backends: Sequence[str]) -> Dict[str, str]:
+    """Run a fissioned reduction on an integer-valued input on each
+    backend; the backends whose result is not exactly ``sum(|x|)``, each
+    with what went wrong.
+
+    Every partial sum of the input is exactly representable in float32,
+    so *every* summation order yields the same bits.  ``seed`` seeds the
+    input; the complex load styles read ``2 * n_elements`` floats.
+    """
+    n = compiled.n_elements
+    count = n if compiled.plan.load_style == "direct" else 2 * n
+    data = np.random.default_rng(seed).integers(
+        0, 8, size=count).astype(np.float32)
+    expected = float(data.sum(dtype=np.float64))
+    failures: Dict[str, str] = {}
+    for backend in backends:
+        try:
+            got = compiled.run(data.copy(), backend=backend)
+        except Exception as exc:
+            failures[backend] = f"crash: {type(exc).__name__}: {exc}"
+            continue
+        if got != expected:
+            failures[backend] = f"reduced to {got!r}, expected {expected!r}"
+    return failures
+
+
 def validate_reduction(compiled,
                        work_limit: int = DYNAMIC_WORK_LIMIT
                        ) -> Optional[str]:
-    """Differentially validate a fissioned reduction program.
-
-    Synthesizes an integer-valued input (all partial sums exactly
-    representable in float32, so *every* summation order yields the same
-    bits) and demands the fissioned program reduce it to exactly
-    ``sum(|x|)``.  Skipped above ``work_limit`` elements.
-    """
+    """Differentially validate a fissioned reduction program: its exact
+    sum (:func:`exact_sum_failures`) on the ``auto`` backend.  Skipped
+    above ``work_limit`` elements."""
     n = compiled.n_elements
     if n > work_limit:
         return None
     seed = zlib.crc32(f"{compiled.name}|{n}|{compiled.plan.load_style}"
                       .encode())
-    rng = np.random.default_rng(seed)
-    count = n if compiled.plan.load_style == "direct" else 2 * n
-    data = rng.integers(0, 8, size=count).astype(np.float32)
-    expected = float(data.sum(dtype=np.float64))
-    try:
-        got = compiled.run(data.copy(), backend="auto")
-    except Exception as exc:
-        return f"crash: {type(exc).__name__}: {exc}"
-    if got != expected:
-        return f"reduced to {got!r}, expected {expected!r}"
-    return None
+    return exact_sum_failures(compiled, seed, ("auto",)).get("auto")

@@ -51,6 +51,28 @@ class LaunchConfig:
                 f"block({self.block[0]}, {self.block[1]})")
 
 
+@dataclass
+class Launch:
+    """One kernel launch of a compiled program.
+
+    A program is a list of these: one for an ordinary compiled kernel,
+    several for a fissioned reduction or a staged FFT.  Whatever runs,
+    prices, profiles or verifies a program reads its launches from that
+    list.  ``label`` names the launch within a multi-launch program
+    (``''`` for a program of one launch, which takes its stage's name);
+    ``scalars`` binds the kernel's scalar parameters; ``vector_lanes`` and
+    ``registers`` are what the timing model needs beyond the kernel
+    (``registers=None``: estimate them from the kernel).
+    """
+
+    label: str
+    kernel: Kernel
+    config: LaunchConfig
+    scalars: Dict[str, int]
+    vector_lanes: int = 1
+    registers: Optional[int] = None
+
+
 # Trace event: (array, linear_addr, is_store, (bidx, bidy), (tidx, tidy), site)
 TraceHook = Callable[[str, int, bool, Tuple[int, int], Tuple[int, int],
                       ArrayRef], None]

@@ -45,7 +45,7 @@ to avoid false positives on barrier-stepped loops like the reduction tree
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Sequence, Set, Tuple, Union
 
 from repro.lang.astnodes import (
     Block,

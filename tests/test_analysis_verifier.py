@@ -38,13 +38,11 @@ class TestSuiteIsClean:
         alg = ALGORITHMS["rd"]
         sizes = alg.sizes(alg.test_scale)
         compiled = compile_reduction(alg.source, sizes["n"])
-        for label, config, size in compiled.launches():
-            kernel = (compiled.stage1 if label == "stage1"
-                      else compiled.stage2)
-            report = verify_kernel(kernel,
-                                   {"n": size, "nb": config.grid[0]},
-                                   block=tuple(config.block),
-                                   grid=tuple(config.grid), stage=label)
+        for launch in compiled.launch_plan():
+            report = verify_kernel(launch.kernel, launch.scalars,
+                                   block=tuple(launch.config.block),
+                                   grid=tuple(launch.config.grid),
+                                   stage=launch.label)
             assert report.at_least(Severity.WARNING) == []
 
     def test_compile_with_verify_option(self):

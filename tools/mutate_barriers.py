@@ -56,7 +56,7 @@ from repro.machine import GTX280
 from repro.obs.trace import snippet
 from repro.reduction import ReductionPlan, compile_reduction
 from repro.sim.differential import compare, run, schedule_sweep
-from repro.sim.interp import LaunchConfig
+from repro.sim.interp import Launch, LaunchConfig
 from repro.sim.scheduled import schedule_plan
 
 #: The kill-rate floor the whole race-detection stack must clear.
@@ -180,6 +180,15 @@ def kill_mutant(mutant: Kernel, sizes: Dict[str, int],
 # Harness targets: suite kernels whose barriers carry the correctness
 # ---------------------------------------------------------------------------
 
+def _target(label: str, launch: Launch, arrays: Dict[str, np.ndarray]):
+    """One harness target: (label, kernel, sizes, config, arrays,
+    scalars) for a launch of a compiled program."""
+    scalars = {p.name: launch.scalars[p.name]
+               for p in launch.kernel.scalar_params()}
+    return (label, launch.kernel, launch.scalars, launch.config, arrays,
+            scalars)
+
+
 def harness_targets(scale: int = 32):
     """(label, kernel, sizes, config, arrays, scalars) per barrier-carrying
     compiled kernel: every mm/tp stage that has barriers + rd stage 1."""
@@ -191,27 +200,21 @@ def harness_targets(scale: int = 32):
         stages = compile_stages(algo.source, sizes, algo.domain(sizes),
                                 GTX280)
         for stage_name, ck in stages.items():
-            if not any(isinstance(s, SyncStmt)
-                       for s in walk_stmts(ck.kernel.body)):
-                continue
-            bindings = ck.size_bindings()
-            scalars = {p.name: bindings[p.name]
-                       for p in ck.kernel.scalar_params()}
-            yield (f"{name}/{stage_name}", ck.kernel, bindings,
-                   ck.config, {k: v.copy() for k, v in arrays.items()},
-                   scalars)
+            (launch,) = ck.launch_plan()
+            if any(isinstance(s, SyncStmt)
+                   for s in walk_stmts(launch.kernel.body)):
+                yield _target(f"{name}/{stage_name}", launch,
+                              {k: v.copy() for k, v in arrays.items()})
 
     n = 1 << 10
     cr = compile_reduction(naive.RD, n, GTX280,
                            ReductionPlan(block_threads=64, thread_merge=4))
-    _, config, _ = cr.launches()[0]
+    stage1 = cr.launch_plan()[0]
     rng = np.random.default_rng(17)
     data = rng.integers(0, 8, size=n).astype(np.float32)
-    arrays = {"a": data,
-              "partial": np.zeros(max(config.grid[0], 1),
-                                  dtype=np.float32)}
-    yield ("rd/stage1", cr.stage1, {"n": n, "nb": config.grid[0]}, config,
-           arrays, {"n": n, "nb": config.grid[0]})
+    yield _target(f"rd/{stage1.label}", stage1,
+                  {"a": data, "partial": np.zeros(stage1.config.grid[0],
+                                                  dtype=np.float32)})
 
 
 def run_harness(schedules: int = 8, scale: int = 32) -> Dict[str, object]:
